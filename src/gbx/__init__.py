@@ -4,8 +4,8 @@ decoding, and logical-error-rate estimation."""
 from .code import (CssCode, WeightProfile, build_gb, code_from_dict,
                    code_from_json, code_to_dict, code_to_json, dimension_gcd,
                    dimension_rank, logical_basis, to_alist, weight_profile)
-from .decoder import (DecodeOutcome, DecoderConfig, bp_minsum,
-                      bp_minsum_batch, decode, decode_sector, osd_postprocess)
+from .decoder import (DecodeOutcome, DecoderConfig, bp_minsum_batch, decode,
+                      decode_batch, osd_postprocess)
 from .distance import (BudgetExceeded, DistanceResult, min_distance)
 from .extension import (ExtensionPlan, SparsityProfile, check_dim_lower_bound,
                         dim_exact_coprime, extend_family, identity_plan,
@@ -13,17 +13,15 @@ from .extension import (ExtensionPlan, SparsityProfile, check_dim_lower_bound,
                         shor_check_matrices, shor_sparsity, sparsity_profile)
 from .gf2poly import (RingPoly, f2_degree, f2_gcd, f2_mul, f2_weight,
                       format_poly, geometric_sum, parse_poly, parse_ring_poly,
-                      poly_add, poly_gcd, poly_mul, ring_reduce,
-                      x_pow_minus_one)
+                      poly_add, poly_mul, ring_reduce, x_pow_minus_one)
 from .scalable import (ZeroInsertPlan, TripleBlockPlan, build_triple_family,
-                       build_insertion_family, f_insert, f_triple,
-                       triple_extension_plan, verify_embedding)
+                       build_insertion_family, f_insert, triple_extension_plan,
+                       verify_embedding)
 from .search import (SearchFilter, SearchHit, assemble_report,
                      breakeven_point, catalog, search_base_codes)
 from .simulator import (NoiseModel, SimReport, classify_failure, estimate_ler,
-                        reports_from_csv, reports_to_csv, run_trial,
-                        sample_error, sweep, threshold_estimate,
-                        wilson_interval)
+                        reports_from_csv, reports_to_csv, sample_error, sweep,
+                        threshold_estimate, wilson_interval)
 
 __version__ = "0.1.0"
 

@@ -2,7 +2,9 @@
 
 Subcommands: search, build, extend, scale3, scale4, distance, decode,
 sweep, report, catalog. Exit codes: 0 success, 2 empty filter result,
-3 enumeration budget exceeded, 4 artifact I/O failure.
+3 enumeration budget exceeded, 4 artifact I/O failure, 5 usage error (a
+malformed command line or an invalid argument value). Every error prints
+one ``error:`` line to stderr.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ EXIT_OK = 0
 EXIT_EMPTY = 2
 EXIT_BUDGET = 3
 EXIT_IO = 4
+EXIT_USAGE = 5
 
 
 def _emit(text: str, out_path):
@@ -76,8 +79,7 @@ def cmd_catalog(args) -> int:
     elif args.format == "csv":
         lines = ["label,ell,a,b,n,k,d"]
         for c in codes:
-            lines.append(f"{c.label},{c.ell},{c.a},{c.b},{c.n},{c.k},"
-                         f"{c.d if c.d is not None else ''}")
+            lines.append(f"{c.label},{c.ell},{c.a},{c.b},{c.n},{c.k},{c.d}")
         _emit("\n".join(lines), args.out)
     else:
         lines = [f"{c.label:>12}  l={c.ell:<3} a={c.a}  b={c.b}" for c in codes]
@@ -95,11 +97,7 @@ def cmd_search(args) -> int:
                        require_distance=args.min_distance,
                        ler_screen=ler_screen,
                        screen_trials=args.trials)
-    try:
-        hits, k_positive = search_base_codes(flt, seed=args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    hits, k_positive = search_base_codes(flt, seed=args.seed)
     header = (f"# ring size {args.ell}: {k_positive} ordered nonzero pairs "
               f"with k > 0 (no equivalence deduplication)")
     if args.format == "json":
@@ -120,6 +118,8 @@ def _plan_from_args(args, members: int) -> ExtensionPlan:
     if args.plan:
         with open(args.plan) as fh:
             return plan_from_json(fh.read())
+    if not args.base:
+        raise ValueError("need --plan or --base")
     base = _load_code(args.base)
     if args.preset == "identity":
         return identity_plan(base.a, base.b, members)
@@ -177,11 +177,7 @@ def _jsonable(obj):
 
 def cmd_distance(args) -> int:
     code = _load_code(args.code)
-    try:
-        res = min_distance(code, cap=args.cap)
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    res = min_distance(code, cap=args.cap)
     n = code.n
     sympl = np.zeros(2 * n, dtype=np.uint8)
     if res.witness_sector == "X":
@@ -385,12 +381,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its own error line
+        return EXIT_USAGE if exc.code == 2 else exc.code
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except BudgetExceeded as exc:
+        return _fail(exc, EXIT_BUDGET)
+    except (OSError, json.JSONDecodeError) as exc:  # unreadable artifact
+        return _fail(exc, EXIT_IO)
+    except ValueError as exc:
+        return _fail(exc, EXIT_USAGE)
+
+
+def _fail(exc: Exception, code: int) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2mat import circulant_from_poly, nullspace, rank_gf2, row_basis
+from .gf2mat import circulant_from_poly, nullspace, rank_gf2, row_reduce
 from .gf2poly import (RingPoly, f2_degree, f2_gcd, format_poly,
                       parse_ring_poly, x_pow_minus_one)
 
@@ -91,21 +91,19 @@ def build_gb(a: RingPoly, b: RingPoly, label: str = "",
 
 def _quotient_basis(kernel_of: np.ndarray, mod_rows_of: np.ndarray,
                     k: int) -> np.ndarray:
-    """k kernel vectors of `kernel_of` independent modulo rowspace(mod_rows_of)."""
+    """k kernel vectors of `kernel_of` independent modulo
+    rowspace(mod_rows_of), picked greedily in nullspace order.
+
+    One elimination of [mod_rows_of; kernel]^T does the greedy scan: a
+    column is a pivot iff it is independent of every column before it.
+    """
     ker = nullspace(kernel_of)
-    stab = row_basis(mod_rows_of)
-    picked = []
-    work = stab
-    for v in ker:
-        cand = np.vstack([work, v[None, :]])
-        if rank_gf2(cand) > work.shape[0]:
-            work = row_basis(cand)
-            picked.append(v)
-            if len(picked) == k:
-                break
+    m = mod_rows_of.shape[0]
+    _, pivots = row_reduce(np.vstack([mod_rows_of, ker]).T)
+    picked = [c - m for c in pivots if c >= m]
     if len(picked) != k:
         raise AssertionError("failed to extract a full logical basis")
-    return np.array(picked, dtype=np.uint8)
+    return ker[picked]
 
 
 def logical_basis(code: CssCode) -> tuple[np.ndarray, np.ndarray]:

@@ -13,10 +13,12 @@ log((1-p)/p) and the hard decision sets e_i = 1 when the marginal LLR <= 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
+
+from .gf2mat import row_reduce
 
 LLR_CAP = 1e9  # stands in for +inf on degree-1 checks
 
@@ -37,6 +39,12 @@ class DecoderConfig:
             raise ValueError("osd_order must be non-negative")
         if self.osd_mode not in ("off", "order0", "sweep", "always"):
             raise ValueError(f"unknown osd_mode {self.osd_mode!r}")
+
+    def for_ring(self, ell: int) -> "DecoderConfig":
+        """This config with ``osd_order=None`` resolved to the ring size."""
+        if self.osd_order is not None:
+            return self
+        return replace(self, osd_order=ell)
 
 
 @dataclass
@@ -122,43 +130,6 @@ def bp_minsum_batch(H: np.ndarray, syndromes: np.ndarray, prior,
     return hard_out, marg_out, done, iters
 
 
-def bp_minsum(H, syndrome, prior, cfg: DecoderConfig) -> DecodeOutcome:
-    """Single-syndrome min-sum decode; returns soft outputs regardless of
-    convergence."""
-    hard, marg, conv, iters = bp_minsum_batch(
-        H, np.asarray(syndrome, dtype=np.uint8)[None, :], prior, cfg)
-    return DecodeOutcome(estimate=hard[0], soft=marg[0],
-                         bp_converged=bool(conv[0]), osd_used=False,
-                         iterations=int(iters[0]))
-
-
-def _eliminate(Hp: np.ndarray, s: np.ndarray):
-    """RREF of a column-permuted check matrix with augmented syndrome."""
-    A = Hp.copy()
-    b = s.copy()
-    m, n = A.shape
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        hits = np.nonzero(A[r:, c])[0]
-        if hits.size == 0:
-            continue
-        p = r + hits[0]
-        if p != r:
-            A[[r, p]] = A[[p, r]]
-            b[[r, p]] = b[[p, r]]
-        others = np.nonzero(A[:, c])[0]
-        for i in others:
-            if i != r:
-                A[i] ^= A[r]
-                b[i] ^= b[r]
-        piv_cols.append(c)
-        r += 1
-    return A, b, piv_cols
-
-
 def osd_postprocess(H, syndrome, soft, cfg: DecoderConfig) -> DecodeOutcome:
     """Ordered-statistics solve of H e = s.
 
@@ -166,7 +137,9 @@ def osd_postprocess(H, syndrome, soft, cfg: DecoderConfig) -> DecodeOutcome:
     LLR, ties to the lower index). The first rank(H) independent columns
     form the information set; order-0 solves the restricted system exactly,
     sweep mode additionally tries all weight-1 and weight-2 flips within the
-    first ``osd_order`` secondary columns and keeps the soft-cost minimum.
+    first ``osd_order`` secondary columns (all of them when it is None; a
+    code's decode resolves None to the ring size first, see
+    :meth:`DecoderConfig.for_ring`) and keeps the soft-cost minimum.
     """
     H = np.asarray(H, dtype=np.uint8) & 1
     m, n = H.shape
@@ -176,10 +149,11 @@ def osd_postprocess(H, syndrome, soft, cfg: DecoderConfig) -> DecodeOutcome:
         raise ValueError("soft reliabilities required for every bit")
 
     order = np.argsort(llr, kind="stable")  # most error-prone first
-    A, b, piv_cols = _eliminate(H[:, order], s)
-    rank = len(piv_cols)
-    if b[rank:].any():
+    R, piv_cols = row_reduce(np.hstack([H[:, order], s[:, None]]))
+    if piv_cols and piv_cols[-1] == n:
         raise ValueError("syndrome is not in the column space of H")
+    A, b = R[:, :n], R[:, n]
+    rank = len(piv_cols)
 
     piv_set = set(piv_cols)
     nonpiv = [c for c in range(n) if c not in piv_set]
@@ -216,29 +190,30 @@ def osd_postprocess(H, syndrome, soft, cfg: DecoderConfig) -> DecodeOutcome:
                          osd_used=True, iterations=0)
 
 
-def decode_sector(H, syndrome, p, cfg: DecoderConfig) -> DecodeOutcome:
-    """BP first; OSD whenever the BP hard decision misses the syndrome (or
-    always, in `always` mode)."""
-    out = bp_minsum(H, syndrome, p, cfg)
-    need_osd = cfg.osd_mode == "always" or (
-        not out.bp_converged and cfg.osd_mode != "off")
-    if need_osd:
-        osd = osd_postprocess(H, syndrome, out.soft, cfg)
-        return DecodeOutcome(estimate=osd.estimate, soft=out.soft,
-                             bp_converged=out.bp_converged, osd_used=True,
-                             iterations=out.iterations)
-    return out
+def decode_batch(H, S, prior, cfg: DecoderConfig) -> np.ndarray:
+    """Decode one sector for a batch of syndromes (one per row of S).
+
+    BP runs on every row; OSD replaces the estimate of each row whose BP
+    hard decision misses its syndrome (every row in ``always`` mode, none
+    in ``off`` mode). Returns the (B, n) estimates.
+    """
+    S = np.asarray(S, dtype=np.uint8) & 1
+    hard, marg, conv, _ = bp_minsum_batch(H, S, prior, cfg)
+    if cfg.osd_mode == "off":
+        return hard
+    todo = np.ones_like(conv) if cfg.osd_mode == "always" else ~conv
+    for i in np.flatnonzero(todo):
+        hard[i] = osd_postprocess(H, S[i], marg[i], cfg).estimate
+    return hard
 
 
 def decode(code, syndrome_x, syndrome_z, p, cfg: DecoderConfig | None = None):
-    """Two-sector CSS decode.
+    """Two-sector CSS decode of one syndrome pair: a batch of one.
 
     X errors are detected by H_Z (syndrome_z) and Z errors by H_X
     (syndrome_x); the sectors are decoded independently. Returns (ex, ez).
     """
-    cfg = cfg or DecoderConfig()
-    if cfg.osd_order is None:
-        cfg = DecoderConfig(cfg.max_iter, cfg.ms_scale, code.ell, cfg.osd_mode)
-    ex = decode_sector(code.hz, syndrome_z, p, cfg).estimate
-    ez = decode_sector(code.hx, syndrome_x, p, cfg).estimate
+    cfg = (cfg or DecoderConfig()).for_ring(code.ell)
+    ex = decode_batch(code.hz, np.asarray(syndrome_z)[None, :], p, cfg)[0]
+    ez = decode_batch(code.hx, np.asarray(syndrome_x)[None, :], p, cfg)[0]
     return ex, ez

@@ -23,7 +23,9 @@ def circulant_from_poly(p: RingPoly) -> np.ndarray:
     column is the previous one shifted cyclically down one step, so
     M[i, j] = p_{(i - j) mod l}."""
     ell = p.ring_dim
-    c = np.fromiter(p.coeffs, dtype=np.uint8, count=ell)
+    c = np.unpackbits(np.frombuffer(p.mask.to_bytes((ell + 7) // 8, "little"),
+                                    dtype=np.uint8),
+                      count=ell, bitorder="little")
     idx = (np.arange(ell)[:, None] - np.arange(ell)[None, :]) % ell
     return c[idx]
 
@@ -47,7 +49,9 @@ def poly_from_circulant(M) -> RingPoly:
         raise ValueError("matrix is not square")
     if not is_circulant(A):
         raise ValueError("matrix is not circulant")
-    return RingPoly(tuple(int(b) for b in A[:, 0]), A.shape[0])
+    mask = int.from_bytes(np.packbits(A[:, 0], bitorder="little").tobytes(),
+                          "little")
+    return RingPoly(mask, A.shape[0])
 
 
 def row_reduce(M) -> tuple[np.ndarray, list]:
@@ -97,42 +101,3 @@ def nullspace(M) -> np.ndarray:
         for i, pc in enumerate(pivots):
             basis[k, pc] = R[i, fc]
     return basis
-
-
-def in_rowspace(v, basis_rref: np.ndarray, pivots: list) -> bool:
-    """Membership test against a precomputed RREF row basis."""
-    w = np.array(v, dtype=np.uint8, copy=True) & 1
-    for i, c in enumerate(pivots):
-        if w[c]:
-            w ^= basis_rref[i]
-    return not w.any()
-
-
-def triangular_split(C) -> tuple[np.ndarray, np.ndarray]:
-    """Split a square matrix into L (entries with j <= i) and U (j > i);
-    L XOR U reconstructs the input."""
-    A = as_gf2(C)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError("matrix is not square")
-    L = np.tril(A)
-    U = np.triu(A, k=1)
-    return L, U
-
-
-def block_compose(grid) -> np.ndarray:
-    """Concatenate a 2-D arrangement of blocks; dimensions must be consistent
-    per grid row and per grid column."""
-    if not grid or not all(row for row in grid):
-        raise ValueError("empty block grid")
-    blocks = [[as_gf2(b) for b in row] for row in grid]
-    ncols = len(blocks[0])
-    for row in blocks:
-        if len(row) != ncols:
-            raise ValueError("ragged block grid")
-    for row in blocks:
-        if len({b.shape[0] for b in row}) != 1:
-            raise ValueError("inconsistent block heights within a grid row")
-    for j in range(ncols):
-        if len({row[j].shape[1] for row in blocks}) != 1:
-            raise ValueError("inconsistent block widths within a grid column")
-    return np.block([[b for b in row] for row in blocks]).astype(np.uint8)

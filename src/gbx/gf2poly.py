@@ -9,6 +9,7 @@ Two representations are used throughout:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
@@ -90,43 +91,37 @@ def geometric_sum(ell: int, kappa: int) -> int:
 
 @dataclass(frozen=True)
 class RingPoly:
-    """Element of F2[x]/(x^l - 1); ``coeffs[i]`` is the coefficient of x^i."""
+    """Element of F2[x]/(x^l - 1); bit i of ``mask`` is the coefficient of
+    x^i."""
 
-    coeffs: tuple
+    mask: int
     ring_dim: int
 
     def __post_init__(self):
+        # plain ints, so that numpy integers never reach the unbounded
+        # shifts of the polynomial arithmetic
+        object.__setattr__(self, "mask", operator.index(self.mask))
+        object.__setattr__(self, "ring_dim", operator.index(self.ring_dim))
         if self.ring_dim < 1:
             raise ValueError("ring dimension must be positive")
-        if len(self.coeffs) != self.ring_dim:
-            raise ValueError("coefficient count must equal the ring dimension")
-        if any(c not in (0, 1) for c in self.coeffs):
-            raise ValueError("coefficients must be bits")
+        if self.mask < 0 or self.mask >> self.ring_dim:
+            raise ValueError("polynomial does not fit in the ring")
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_mask(cls, mask: int, ring_dim: int) -> "RingPoly":
-        if mask < 0 or mask >> ring_dim:
-            raise ValueError("polynomial does not fit in the ring")
-        return cls(tuple((mask >> i) & 1 for i in range(ring_dim)), ring_dim)
+        return cls(mask, ring_dim)
 
     @classmethod
     def zero(cls, ring_dim: int) -> "RingPoly":
-        return cls.from_mask(0, ring_dim)
+        return cls(0, ring_dim)
 
     @classmethod
     def one(cls, ring_dim: int) -> "RingPoly":
-        return cls.from_mask(1, ring_dim)
+        return cls(1, ring_dim)
 
     # -- views -------------------------------------------------------------
-
-    @property
-    def mask(self) -> int:
-        m = 0
-        for i, c in enumerate(self.coeffs):
-            m |= c << i
-        return m
 
     @property
     def degree(self):
@@ -134,7 +129,7 @@ class RingPoly:
 
     @property
     def weight(self) -> int:
-        return sum(self.coeffs)
+        return f2_weight(self.mask)
 
     def lift(self, ring_dim: int) -> "RingPoly":
         """Reinterpret in a (usually larger) ring, reducing mod x^l - 1."""
@@ -167,11 +162,6 @@ def poly_mul(u: RingPoly, v: RingPoly) -> RingPoly:
         raise ValueError("ring dimension mismatch")
     return RingPoly.from_mask(ring_reduce(f2_mul(u.mask, v.mask), u.ring_dim),
                               u.ring_dim)
-
-
-def poly_gcd(*polys: int) -> int:
-    """gcd of plain F2[x] polynomials (alias kept for the public surface)."""
-    return f2_gcd(*polys)
 
 
 # ---------------------------------------------------------------------------

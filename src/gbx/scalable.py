@@ -1,10 +1,12 @@
 """Scalable GB families.
 
-Two constructions on the circulant blocks of a base code:
+Two constructions on the generator polynomials of a base code:
 
-* the triple-block map F(C) = [[L,U,C],[C,L,U],[U,C,L]] which triples the
-  code length, keeps the smaller check matrix embedded up to qubit
-  relabelling, and yields exponentially decaying density with ratio 2/3;
+* the triple-block map F(C) = [[L,U,C],[C,L,U],[U,C,L]] on a circulant C ~ c(x)
+  of size l is the circulant of (1 + x^l) c(x) in the 3l ring, so the family
+  is the extension with kappa_m = 3^(m-1); it triples the code length, keeps
+  the smaller check matrix embedded up to qubit relabelling, and yields
+  exponentially decaying density with ratio 2/3;
 * the zero-insertion map which widens the circulant generator by r zero
   coefficients at a fixed split index j, preserving all check weights.
 """
@@ -16,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .code import CssCode, build_gb
-from .extension import ExtensionPlan
-from .gf2mat import (as_gf2, block_compose, circulant_from_poly,
-                     poly_from_circulant, triangular_split)
+from .extension import ExtensionPlan, extend_family
+from .gf2mat import circulant_from_poly, poly_from_circulant
 from .gf2poly import RingPoly, f2_mul
 
 # Constructive block-column relabellings (1-based, old position -> new
@@ -53,29 +54,14 @@ class ZeroInsertPlan:
             raise ValueError("insertion width r must be positive")
 
 
-def f_triple(C) -> np.ndarray:
-    """Triple-block expansion of a square matrix; for circulant C ~ c(x) of
-    size l the result is the circulant of (1 + x^l) c(x) in the 3l ring."""
-    A = as_gf2(C)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError("matrix is not square")
-    L, U = triangular_split(A)
-    return block_compose([[L, U, A], [A, L, U], [U, A, L]])
-
-
 def build_triple_family(plan: TripleBlockPlan, with_logicals: bool = True) -> list:
-    """Apply f_triple to both circulant blocks level by level."""
-    family = [plan.base]
-    A = circulant_from_poly(plan.base.a)
-    B = circulant_from_poly(plan.base.b)
-    for m in range(2, plan.M + 1):
-        A = f_triple(A)
-        B = f_triple(B)
-        a = poly_from_circulant(A)
-        b = poly_from_circulant(B)
-        family.append(build_gb(a, b, label=f"scale3 m={m},l={a.ring_dim}",
-                               with_logicals=with_logicals))
-    return family
+    """The extension family of :func:`triple_extension_plan`; member 1 is
+    the plan's base code itself."""
+    family = extend_family(triple_extension_plan(plan.base, plan.M),
+                           with_logicals=with_logicals)
+    for m, code in enumerate(family[1:], start=2):
+        code.label = f"scale3 m={m},l={code.ell}"
+    return [plan.base] + family[1:]
 
 
 def triple_extension_plan(base: CssCode, M: int) -> ExtensionPlan:
@@ -143,41 +129,31 @@ def verify_embedding(small: CssCode, large: CssCode) -> tuple[bool, dict]:
     return True, witness
 
 
-def f_insert(C, j: int, r: int) -> np.ndarray:
-    """Widen a circulant by r zeros at split index j: the generator
-    c = f + g (f below x^j, g at or above) becomes f + x^r g in the
-    (l + r)-dimensional ring. Weight is preserved."""
-    A = as_gf2(C)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError("matrix is not square")
-    c = poly_from_circulant(A)
-    ell = c.ring_dim
-    if not 0 < j < ell - 1:
+def _widen(poly: RingPoly, j: int, r: int) -> RingPoly:
+    """Split the generator as f + g (f below x^j, g at or above) and return
+    f + x^r g in the (l + r)-dimensional ring. Weight is preserved."""
+    if not 0 < j < poly.ring_dim - 1:
         raise ValueError("split index j out of range")
     if r < 1:
         raise ValueError("insertion width r must be positive")
-    mask = c.mask
-    f = mask & ((1 << j) - 1)
-    g = mask >> j
-    new = f | (g << (j + r))
-    return circulant_from_poly(RingPoly.from_mask(new, ell + r))
+    f = poly.mask & ((1 << j) - 1)
+    g = poly.mask >> j
+    return RingPoly.from_mask(f | (g << (j + r)), poly.ring_dim + r)
+
+
+def f_insert(C, j: int, r: int) -> np.ndarray:
+    """Widen a circulant by r zeros at split index j (see :func:`_widen`)."""
+    return circulant_from_poly(_widen(poly_from_circulant(C), j, r))
 
 
 def build_insertion_family(plan: ZeroInsertPlan, with_logicals: bool = True) -> list:
     """Zero-insertion family: member m lives in the (l + r(m-1)) ring with
     generators f + x^{r(m-1)} g split at the base index j."""
-    ell = plan.base.ell
-
-    def widened(poly: RingPoly, m: int) -> RingPoly:
-        f = poly.mask & ((1 << plan.j) - 1)
-        g = poly.mask >> plan.j
-        new = f | (g << (plan.j + plan.r * (m - 1)))
-        return RingPoly.from_mask(new, ell + plan.r * (m - 1))
-
     family = [plan.base]
     for m in range(2, plan.M + 1):
-        a = widened(plan.base.a, m)
-        b = widened(plan.base.b, m)
+        width = plan.r * (m - 1)
+        a = _widen(plan.base.a, plan.j, width)
+        b = _widen(plan.base.b, plan.j, width)
         family.append(build_gb(a, b, label=f"scale4 m={m},l={a.ring_dim}",
                                with_logicals=with_logicals))
     return family

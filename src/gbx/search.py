@@ -97,15 +97,16 @@ def search_base_codes(flt: SearchFilter, seed: int = 0
 
 
 # ---------------------------------------------------------------------------
-# bundled catalog of small base codes (all have g(x) = 1 + x, k = 2)
+# bundled catalog of small base codes (all have g(x) = 1 + x, k = 2); d is
+# the exact distance found by min_distance
 
 CATALOG_SPEC = [
     ("[[10,2,3]]", 5, "1+x^4", "1+x+x^2+x^4", 3),
     ("[[12,2,3]]", 6, "1+x+x^2+x^5", "1+x+x^3+x^5", 3),
-    ("[[14,2]]", 7, "1+x^3", "1+x+x^3+x^6", None),
-    ("[[16,2]]", 8, "x+x^3", "1+x^5", None),
-    ("[[18,2]]", 9, "1+x^2", "1+x^5", None),
-    ("[[20,2]]", 10, "1+x", "1+x^6", None),
+    ("[[14,2]]", 7, "1+x^3", "1+x+x^3+x^6", 3),
+    ("[[16,2]]", 8, "x+x^3", "1+x^5", 3),
+    ("[[18,2]]", 9, "1+x^2", "1+x^5", 3),
+    ("[[20,2]]", 10, "1+x", "1+x^6", 4),
 ]
 
 

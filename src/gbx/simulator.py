@@ -1,6 +1,7 @@
-"""Phenomenological depolarizing-noise Monte Carlo.
+"""Code-capacity depolarizing-noise Monte Carlo.
 
-Single perfect syndrome-extraction round per trial: sample a Pauli error,
+Errors strike the data qubits only, and each trial has a single perfect
+syndrome-extraction round (no measurement errors): sample a Pauli error,
 compute both syndromes, decode each sector, and count a logical failure when
 either residual pairs nontrivially with the opposite-type logical basis.
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .code import CssCode
-from .decoder import DecoderConfig, bp_minsum_batch, osd_postprocess
+from .decoder import DecoderConfig, decode_batch
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -112,31 +113,6 @@ def _decoder_prior(p: float) -> float:
     return min(max(p, 1e-9), 0.5)
 
 
-def run_trial(code: CssCode, noise: NoiseModel, cfg: DecoderConfig,
-              rng: np.random.Generator) -> bool:
-    """Sample, extract syndromes, decode both sectors, classify."""
-    from .decoder import decode
-    ex, ez = sample_error(code.n, noise, rng)
-    s_z = (code.hz @ ex) % 2
-    s_x = (code.hx @ ez) % 2
-    ex_hat, ez_hat = decode(code, s_x, s_z, _decoder_prior(noise.p), cfg)
-    return classify_failure(code, ex ^ ex_hat, ez ^ ez_hat)
-
-
-def _decode_sector_batch(H, S, p, cfg: DecoderConfig) -> np.ndarray:
-    hard, marg, conv, _ = bp_minsum_batch(H, S, p, cfg)
-    est = hard.copy()
-    if cfg.osd_mode == "always":
-        todo = np.arange(S.shape[0])
-    elif cfg.osd_mode == "off":
-        todo = np.array([], dtype=np.int64)
-    else:
-        todo = np.nonzero(~conv)[0]
-    for i in todo:
-        est[i] = osd_postprocess(H, S[i], marg[i], cfg).estimate
-    return est
-
-
 def _run_batch(code: CssCode, noise: NoiseModel, cfg: DecoderConfig,
                seed, start: int, count: int) -> int:
     """Failure count over trials [start, start + count)."""
@@ -147,11 +123,9 @@ def _run_batch(code: CssCode, noise: NoiseModel, cfg: DecoderConfig,
         EX[t], EZ[t] = sample_error(n, noise, trial_rng(seed, start + t))
     SZ = (EX @ code.hz.T) % 2
     SX = (EZ @ code.hx.T) % 2
-    if cfg.osd_order is None:
-        cfg = DecoderConfig(cfg.max_iter, cfg.ms_scale, code.ell, cfg.osd_mode)
     p_dec = _decoder_prior(noise.p)
-    EX_hat = _decode_sector_batch(code.hz, SZ, p_dec, cfg)
-    EZ_hat = _decode_sector_batch(code.hx, SX, p_dec, cfg)
+    EX_hat = decode_batch(code.hz, SZ, p_dec, cfg)
+    EZ_hat = decode_batch(code.hx, SX, p_dec, cfg)
     RX = EX ^ EX_hat
     RZ = EZ ^ EZ_hat
     fail = (((RX @ code.lz.T) % 2).any(axis=1)
@@ -168,11 +142,12 @@ def estimate_ler(code: CssCode, noise: NoiseModel, cfg: DecoderConfig,
         raise ValueError("need at least one trial")
     if code.lx is None or code.lz is None:
         raise ValueError("code needs a populated logical basis")
+    sector_cfg = cfg.for_ring(code.ell)
     done = 0
     failures = 0
     while done < trials:
         count = min(batch, trials - done)
-        failures += _run_batch(code, noise, cfg, seed, done, count)
+        failures += _run_batch(code, noise, sector_cfg, seed, done, count)
         done += count
         lo, hi = wilson_interval(failures, done)
         if (hi - lo) / 2 < precision:

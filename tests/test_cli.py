@@ -4,7 +4,10 @@ import json
 
 import pytest
 
-from gbx.cli import EXIT_EMPTY, EXIT_IO, EXIT_OK, main
+from gbx.cli import (EXIT_BUDGET, EXIT_EMPTY, EXIT_IO, EXIT_OK, EXIT_USAGE,
+                     main)
+from gbx.code import code_from_json, code_to_json
+from gbx.scalable import TripleBlockPlan, build_triple_family
 
 
 def build_code_file(tmp_path, name="code.json"):
@@ -147,3 +150,48 @@ def test_missing_artifact_is_io_error(tmp_path, capsys):
     rc = main(["distance", "--code", str(tmp_path / "nope.json")])
     capsys.readouterr()
     assert rc == EXIT_IO
+
+
+SWEEP_GRID = ["--p-min", "0.1", "--p-max", "0.1", "--p-step", "0.01",
+              "--trials", "10"]
+
+# (argv with {code}/{syn}/{big} placeholders, expected exit code)
+BAD_ARGV = [
+    (["search", "--ell", "300"], EXIT_USAGE),
+    (["search", "--ell", "3", "--ler-screen", "0.1"], EXIT_USAGE),
+    (["build", "--a", "1+y", "--b", "1", "--ell", "5"], EXIT_USAGE),
+    (["build", "--a", "1"], EXIT_USAGE),  # missing required flags
+    (["build", "--a", "1", "--b", "1", "--ell", "five"], EXIT_USAGE),
+    (["sweep", "--base", "{code}", "--members", "0..2"] + SWEEP_GRID,
+     EXIT_USAGE),
+    (["sweep", "--base", "{code}", "--members", "1..x"] + SWEEP_GRID,
+     EXIT_USAGE),
+    (["sweep", "--members", "1..2"] + SWEEP_GRID, EXIT_USAGE),  # no base
+    (["decode", "--code", "{code}", "--syndrome", "{syn}", "--p", "0"],
+     EXIT_USAGE),
+    (["distance", "--code", "{big}"], EXIT_BUDGET),
+    (["distance", "--code", "{missing}"], EXIT_IO),
+    (["distance", "--code", "{syn}"], EXIT_IO),  # not a JSON artifact
+]
+
+
+@pytest.mark.parametrize("argv,expected", BAD_ARGV,
+                         ids=[" ".join(a[:2]) + f" -> {e}"
+                              for a, e in BAD_ARGV])
+def test_bad_input_gives_one_error_line_and_exit_code(tmp_path, capsys,
+                                                       argv, expected):
+    code = build_code_file(tmp_path)
+    base = code_from_json(code.read_text())
+    big = tmp_path / "big.json"  # triple member n=90: kernel dimension 60
+    big.write_text(code_to_json(build_triple_family(
+        TripleBlockPlan(base, 3), with_logicals=False)[2]))
+    syn = tmp_path / "syn.txt"
+    syn.write_text("00000\n01100\n")
+    paths = {"{code}": code, "{syn}": syn, "{big}": big,
+             "{missing}": tmp_path / "missing.json"}
+    capsys.readouterr()
+    rc = main([str(paths.get(a, a)) for a in argv])
+    err = capsys.readouterr().err
+    assert rc == expected
+    assert "Traceback" not in err
+    assert "error: " in err.strip().splitlines()[-1]

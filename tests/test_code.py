@@ -4,11 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gbx.code import (build_gb, code_from_json, code_to_dict, code_to_json,
                       dimension_gcd, dimension_rank, logical_basis, to_alist,
                       weight_profile)
-from gbx.gf2mat import rank_gf2, row_reduce
+from gbx.gf2mat import nullspace, rank_gf2, row_basis, row_reduce
 from gbx.gf2poly import RingPoly, parse_ring_poly
 
 
@@ -99,6 +101,34 @@ def test_logical_basis_random_codes():
         assert not ((code.hz @ lx.T) % 2).any()
         assert not ((code.hx @ lz.T) % 2).any()
         assert rank_gf2((lx @ lz.T) % 2) == code.k
+
+
+def greedy_quotient_basis(kernel_of, mod_rows_of, k):
+    """Reference: scan the nullspace basis in order and keep each vector
+    that raises the rank of the stabilizers plus the vectors kept so far."""
+    work = row_basis(mod_rows_of)
+    picked = []
+    for v in nullspace(kernel_of):
+        cand = np.vstack([work, v[None, :]])
+        if rank_gf2(cand) > work.shape[0]:
+            work = row_basis(cand)
+            picked.append(v)
+            if len(picked) == k:
+                break
+    return np.array(picked, dtype=np.uint8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ell=st.integers(2, 12), data=st.data())
+def test_logical_basis_equals_greedy_rank_scan(ell, data):
+    am = data.draw(st.integers(1, (1 << ell) - 1))
+    bm = data.draw(st.integers(1, (1 << ell) - 1))
+    code = build_gb(RingPoly.from_mask(am, ell), RingPoly.from_mask(bm, ell))
+    assume(code.k > 0)
+    assert np.array_equal(code.lx,
+                          greedy_quotient_basis(code.hz, code.hx, code.k))
+    assert np.array_equal(code.lz,
+                          greedy_quotient_basis(code.hx, code.hz, code.k))
 
 
 def test_zero_k_has_no_logicals():

@@ -1,19 +1,26 @@
 """Min-sum BP and ordered-statistics post-processing."""
 
-from itertools import combinations
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gbx.code import build_gb
-from gbx.decoder import (DecoderConfig, bp_minsum, bp_minsum_batch, decode,
-                         decode_sector, osd_postprocess)
-from gbx.gf2poly import parse_ring_poly
+from gbx.decoder import (DecoderConfig, bp_minsum_batch, decode, decode_batch,
+                         osd_postprocess)
+from gbx.gf2poly import RingPoly, parse_ring_poly
 
 
 def make_code():
     return build_gb(parse_ring_poly("1+x^4", 5),
                     parse_ring_poly("1+x+x^2+x^4", 5), label="[[10,2,3]]")
+
+
+def bp_one(H, syndrome, prior, cfg):
+    """BP on a batch of one: (hard, marginals, converged, iterations)."""
+    hard, marg, conv, iters = bp_minsum_batch(
+        H, np.asarray(syndrome, dtype=np.uint8)[None, :], prior, cfg)
+    return hard[0], marg[0], bool(conv[0]), int(iters[0])
 
 
 def repetition_H(n):
@@ -39,10 +46,10 @@ def test_config_validation():
 def test_bp_zero_syndrome_returns_zero():
     code = make_code()
     s = np.zeros(5, dtype=np.uint8)
-    out = bp_minsum(code.hz, s, 0.01, DecoderConfig())
-    assert out.bp_converged
-    assert not out.estimate.any()
-    assert (out.soft > 0).all()
+    hard, soft, converged, _ = bp_one(code.hz, s, 0.01, DecoderConfig())
+    assert converged
+    assert not hard.any()
+    assert (soft > 0).all()
 
 
 def test_bp_repetition_code_single_error():
@@ -52,9 +59,9 @@ def test_bp_repetition_code_single_error():
         e = np.zeros(7, dtype=np.uint8)
         e[i] = 1
         s = (H @ e) % 2
-        out = bp_minsum(H, s, 0.05, cfg)
-        assert out.bp_converged
-        assert np.array_equal(out.estimate, e)
+        hard, _, converged, _ = bp_one(H, s, 0.05, cfg)
+        assert converged
+        assert np.array_equal(hard, e)
 
 
 def test_bp_estimate_satisfies_syndrome_when_converged():
@@ -64,9 +71,9 @@ def test_bp_estimate_satisfies_syndrome_when_converged():
     for _ in range(100):
         e = (rng.random(10) < 0.1).astype(np.uint8)
         s = (code.hz @ e) % 2
-        out = bp_minsum(code.hz, s, 0.1, cfg)
-        if out.bp_converged:
-            assert np.array_equal((code.hz @ out.estimate) % 2, s)
+        hard, _, converged, _ = bp_one(code.hz, s, 0.1, cfg)
+        if converged:
+            assert np.array_equal((code.hz @ hard) % 2, s)
 
 
 def test_batch_matches_single():
@@ -79,22 +86,22 @@ def test_batch_matches_single():
                   (rng.random((20, 10)) < 0.15).astype(np.uint8)])
     hard, marg, conv, iters = bp_minsum_batch(code.hz, S, 0.15, cfg)
     for i in range(20):
-        single = bp_minsum(code.hz, S[i], 0.15, cfg)
-        assert np.array_equal(hard[i], single.estimate)
-        assert np.allclose(marg[i], single.soft)
-        assert bool(conv[i]) == single.bp_converged
-        assert iters[i] == single.iterations
+        s_hard, s_marg, s_conv, s_iters = bp_one(code.hz, S[i], 0.15, cfg)
+        assert np.array_equal(hard[i], s_hard)
+        assert np.allclose(marg[i], s_marg)
+        assert bool(conv[i]) == s_conv
+        assert iters[i] == s_iters
 
 
 def test_prior_validation():
     code = make_code()
     s = np.zeros(5, dtype=np.uint8)
     with pytest.raises(ValueError):
-        bp_minsum(code.hz, s, 0.0, DecoderConfig())
+        bp_one(code.hz, s, 0.0, DecoderConfig())
     with pytest.raises(ValueError):
-        bp_minsum(code.hz, s, 0.7, DecoderConfig())
+        bp_one(code.hz, s, 0.7, DecoderConfig())
     with pytest.raises(ValueError):
-        bp_minsum(code.hz, np.zeros(4, dtype=np.uint8), 0.1, DecoderConfig())
+        bp_one(code.hz, np.zeros(4, dtype=np.uint8), 0.1, DecoderConfig())
 
 
 def test_osd_always_satisfies_syndrome():
@@ -151,14 +158,15 @@ def test_decode_sector_falls_back_to_osd():
     code = make_code()
     rng = np.random.default_rng(75)
     cfg = DecoderConfig(max_iter=1)  # starve BP so OSD has to run sometimes
-    used = 0
-    for _ in range(50):
-        e = (rng.random(10) < 0.3).astype(np.uint8)
-        s = (code.hz @ e) % 2
-        out = decode_sector(code.hz, s, 0.3, cfg)
-        assert np.array_equal((code.hz @ out.estimate) % 2, s)
-        used += out.osd_used
-    assert used > 0
+    E = (rng.random((50, 10)) < 0.3).astype(np.uint8)
+    S = (E @ code.hz.T) % 2
+    est = decode_batch(code.hz, S, 0.3, cfg)
+    assert np.array_equal((est @ code.hz.T) % 2, S)
+    # OSD ran exactly on the rows where BP missed the syndrome
+    hard, _, conv, _ = bp_minsum_batch(code.hz, S, 0.3, cfg)
+    assert (~conv).sum() > 0
+    assert np.array_equal(est[conv], hard[conv])
+    assert ((hard[~conv] @ code.hz.T) % 2 != S[~conv]).any(axis=1).all()
 
 
 def test_decode_full_code_weight_one_errors():
@@ -182,3 +190,49 @@ def test_decode_full_code_weight_one_errors():
             assert np.array_equal((code.hx @ rz) % 2, np.zeros(5, np.uint8))
             assert not ((code.lz @ rx) % 2).any(), (kind, i)
             assert not ((code.lx @ rz) % 2).any(), (kind, i)
+
+
+# ---------------------------------------------------------------------------
+# properties over random GB codes
+
+@st.composite
+def gb_codes(draw, max_ell=8):
+    ell = draw(st.integers(3, max_ell))
+    am = draw(st.integers(1, (1 << ell) - 1))
+    bm = draw(st.integers(1, (1 << ell) - 1))
+    return build_gb(RingPoly.from_mask(am, ell), RingPoly.from_mask(bm, ell))
+
+
+@settings(max_examples=60, deadline=None)
+@given(code=gb_codes(), seed=st.integers(0, 2**32 - 1),
+       mode=st.sampled_from(["order0", "sweep"]),
+       order=st.one_of(st.none(), st.integers(0, 6)))
+def test_osd_satisfies_random_reachable_syndromes(code, seed, mode, order):
+    rng = np.random.default_rng(seed)
+    e = rng.integers(0, 2, size=code.n).astype(np.uint8)
+    s = (code.hx @ e) % 2  # reachable by construction
+    soft = rng.normal(size=code.n)
+    out = osd_postprocess(code.hx, s, soft,
+                          DecoderConfig(osd_mode=mode, osd_order=order))
+    assert np.array_equal((code.hx @ out.estimate) % 2, s)
+
+
+@settings(max_examples=30, deadline=None)
+@given(code=gb_codes(max_ell=7), seed=st.integers(0, 2**32 - 1),
+       p=st.sampled_from([0.02, 0.1, 0.2]),
+       cfg=st.builds(DecoderConfig, max_iter=st.integers(1, 12),
+                     osd_order=st.one_of(st.none(), st.integers(0, 4)),
+                     osd_mode=st.sampled_from(
+                         ["off", "order0", "sweep", "always"])))
+def test_decode_batch_rows_equal_single_decodes(code, seed, p, cfg):
+    rng = np.random.default_rng(seed)
+    EX = (rng.random((6, code.n)) < p).astype(np.uint8)
+    EZ = (rng.random((6, code.n)) < p).astype(np.uint8)
+    SZ, SX = (EX @ code.hz.T) % 2, (EZ @ code.hx.T) % 2
+    sector_cfg = cfg.for_ring(code.ell)
+    EX_hat = decode_batch(code.hz, SZ, p, sector_cfg)
+    EZ_hat = decode_batch(code.hx, SX, p, sector_cfg)
+    for t in range(6):
+        ex, ez = decode(code, SX[t], SZ[t], p, cfg)
+        assert np.array_equal(ex, EX_hat[t])
+        assert np.array_equal(ez, EZ_hat[t])

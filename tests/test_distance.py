@@ -9,6 +9,7 @@ from gbx.code import build_gb
 from gbx.distance import BudgetExceeded, min_distance
 from gbx.gf2mat import rank_gf2, row_reduce
 from gbx.gf2poly import RingPoly, parse_ring_poly
+from gbx.search import catalog
 
 
 def distance_oracle(code):
@@ -90,3 +91,11 @@ def test_budget_guard():
                     parse_ring_poly("1+x+x^2+x^4", 5))
     with pytest.raises(BudgetExceeded):
         min_distance(code, budget=4)
+
+
+def test_catalog_distances_are_exact():
+    codes = catalog()
+    assert [c.d for c in codes] == [3, 3, 3, 3, 3, 4]
+    for code in codes:
+        res = min_distance(code)
+        assert res.exact and res.d == code.d, code.label

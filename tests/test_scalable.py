@@ -1,20 +1,104 @@
-"""Triple-block and zero-insertion scalable families."""
+"""Triple-block and zero-insertion scalable families.
+
+The triple-block map is built from polynomials in the package; the matrix
+form F(C) = [[L,U,C],[C,L,U],[U,C,L]] lives here as the reference it is
+checked against.
+"""
 
 import numpy as np
 import pytest
 
 from gbx.code import build_gb, weight_profile
 from gbx.extension import extend_family
-from gbx.gf2mat import circulant_from_poly, poly_from_circulant
+from gbx.gf2mat import as_gf2, circulant_from_poly, poly_from_circulant
 from gbx.gf2poly import RingPoly, parse_ring_poly, poly_mul
 from gbx.scalable import (ZeroInsertPlan, TripleBlockPlan, build_triple_family,
-                          build_insertion_family, f_insert, f_triple,
+                          build_insertion_family, f_insert,
                           triple_extension_plan, verify_embedding)
 
 
 def base_code():
     return build_gb(parse_ring_poly("1+x^4", 5),
                     parse_ring_poly("1+x+x^2+x^4", 5), label="[[10,2,3]]")
+
+
+# ---------------------------------------------------------------------------
+# matrix reference for the triple-block map
+
+def triangular_split(C) -> tuple[np.ndarray, np.ndarray]:
+    """Split a square matrix into L (entries with j <= i) and U (j > i);
+    L XOR U reconstructs the input."""
+    A = as_gf2(C)
+    if A.shape[0] != A.shape[1]:
+        raise ValueError("matrix is not square")
+    return np.tril(A), np.triu(A, k=1)
+
+
+def block_compose(grid) -> np.ndarray:
+    """Concatenate a 2-D arrangement of blocks; dimensions must be consistent
+    per grid row and per grid column."""
+    if not grid or not all(row for row in grid):
+        raise ValueError("empty block grid")
+    blocks = [[as_gf2(b) for b in row] for row in grid]
+    ncols = len(blocks[0])
+    for row in blocks:
+        if len(row) != ncols:
+            raise ValueError("ragged block grid")
+    for row in blocks:
+        if len({b.shape[0] for b in row}) != 1:
+            raise ValueError("inconsistent block heights within a grid row")
+    for j in range(ncols):
+        if len({row[j].shape[1] for row in blocks}) != 1:
+            raise ValueError("inconsistent block widths within a grid column")
+    return np.block([[b for b in row] for row in blocks]).astype(np.uint8)
+
+
+def f_triple(C) -> np.ndarray:
+    """Triple-block expansion of a square matrix."""
+    A = as_gf2(C)
+    if A.shape[0] != A.shape[1]:
+        raise ValueError("matrix is not square")
+    L, U = triangular_split(A)
+    return block_compose([[L, U, A], [A, L, U], [U, A, L]])
+
+
+def triple_family_by_matrices(base, M):
+    """Apply f_triple to both circulant blocks level by level."""
+    family = [base]
+    A = circulant_from_poly(base.a)
+    B = circulant_from_poly(base.b)
+    for m in range(2, M + 1):
+        A = f_triple(A)
+        B = f_triple(B)
+        a = poly_from_circulant(A)
+        b = poly_from_circulant(B)
+        family.append(build_gb(a, b, label=f"scale3 m={m},l={a.ring_dim}",
+                               with_logicals=False))
+    return family
+
+
+def test_triangular_split_reconstructs():
+    rng = np.random.default_rng(25)
+    A = rng.integers(0, 2, size=(6, 6)).astype(np.uint8)
+    L, U = triangular_split(A)
+    assert np.array_equal(L ^ U, A)
+    assert not np.triu(L, k=1).any()
+    assert not np.tril(U).any()
+    with pytest.raises(ValueError):
+        triangular_split(np.zeros((2, 3), dtype=np.uint8))
+
+
+def test_block_compose():
+    I = np.eye(2, dtype=np.uint8)
+    Z = np.zeros((2, 2), dtype=np.uint8)
+    M = block_compose([[I, Z], [Z, I]])
+    assert np.array_equal(M, np.eye(4, dtype=np.uint8))
+    with pytest.raises(ValueError):
+        block_compose([[I, Z], [Z]])
+    with pytest.raises(ValueError):
+        block_compose([[I, np.zeros((3, 2), np.uint8)]])
+    with pytest.raises(ValueError):
+        block_compose([])
 
 
 def test_f_triple_is_multiplication_by_one_plus_xl():
@@ -57,6 +141,24 @@ def test_triple_matches_its_extension_plan():
     for x, y in zip(direct, via_plan):
         assert np.array_equal(x.hx, y.hx)
         assert np.array_equal(x.hz, y.hz)
+
+
+def test_triple_family_matches_matrix_map():
+    rng = np.random.default_rng(53)
+    bases = [base_code()] + [
+        build_gb(RingPoly.from_mask(int(rng.integers(1, 1 << ell)), ell),
+                 RingPoly.from_mask(int(rng.integers(1, 1 << ell)), ell))
+        for ell in rng.integers(2, 7, size=6)]
+    for base in bases:
+        fam = build_triple_family(TripleBlockPlan(base, 4),
+                                  with_logicals=False)
+        ref = triple_family_by_matrices(base, 4)
+        assert fam[0] is base
+        for x, y in zip(fam, ref):
+            assert x.label == y.label
+            assert x.a == y.a and x.b == y.b
+            assert np.array_equal(x.hx, y.hx)
+            assert np.array_equal(x.hz, y.hz)
 
 
 def test_embedding_identity_and_failure_cases():

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from gbx.code import build_gb
-from gbx.decoder import DecoderConfig
+from gbx.decoder import DecoderConfig, decode
 from gbx.gf2poly import parse_ring_poly
-from gbx.simulator import (NoiseModel, classify_failure, estimate_ler,
-                           reports_from_csv, reports_to_csv, run_trial,
+from gbx.simulator import (NoiseModel, _decoder_prior, classify_failure,
+                           estimate_ler, reports_from_csv, reports_to_csv,
                            sample_error, sweep, threshold_estimate, trial_rng,
                            wilson_interval)
 
@@ -17,6 +17,16 @@ from gbx.simulator import (NoiseModel, classify_failure, estimate_ler,
 def make_code():
     return build_gb(parse_ring_poly("1+x^4", 5),
                     parse_ring_poly("1+x+x^2+x^4", 5), label="[[10,2,3]]")
+
+
+def run_trial(code, noise, cfg, rng) -> bool:
+    """Scalar reference for one trial: sample, extract both syndromes,
+    decode the pair with `decode`, classify."""
+    ex, ez = sample_error(code.n, noise, rng)
+    s_z = (code.hz @ ex) % 2
+    s_x = (code.hx @ ez) % 2
+    ex_hat, ez_hat = decode(code, s_x, s_z, _decoder_prior(noise.p), cfg)
+    return classify_failure(code, ex ^ ex_hat, ez ^ ez_hat)
 
 
 def test_noise_model_validation():
@@ -102,16 +112,17 @@ def test_estimate_ler_reproducible_and_batch_invariant():
 
 
 def test_estimate_ler_matches_run_trial():
-    # the batched path must agree with the scalar per-trial path exactly
+    # the batched path must agree with the scalar per-trial path exactly,
+    # with osd_order given or left for both paths to resolve
     code = make_code()
-    cfg = DecoderConfig(osd_order=code.ell)
     noise = NoiseModel(0.1)
     trials = 120
-    scalar = sum(run_trial(code, noise, cfg, trial_rng(3, t))
-                 for t in range(trials))
-    rep = estimate_ler(code, noise, cfg, trials=trials, seed=3,
-                       precision=0.0, batch=37)
-    assert rep.failures == scalar
+    for cfg in (DecoderConfig(osd_order=code.ell), DecoderConfig()):
+        scalar = sum(run_trial(code, noise, cfg, trial_rng(3, t))
+                     for t in range(trials))
+        rep = estimate_ler(code, noise, cfg, trials=trials, seed=3,
+                           precision=0.0, batch=37)
+        assert rep.failures == scalar
 
 
 def test_estimate_ler_early_stop():
