@@ -2,9 +2,9 @@
 
 Subcommands: search, build, extend, scale3, scale4, distance, decode,
 sweep, report, catalog. Exit codes: 0 success, 2 empty filter result,
-3 enumeration budget exceeded, 4 artifact I/O failure, 5 usage error (a
-malformed command line or an invalid argument value). Every error prints
-one ``error:`` line to stderr.
+3 enumeration budget exceeded, 4 artifact I/O failure or missing artifact
+field, 5 usage error (a malformed command line or an invalid argument
+value). Every error prints one ``error:`` line to stderr.
 """
 
 from __future__ import annotations
@@ -389,13 +389,15 @@ def main(argv=None) -> int:
         return args.func(args)
     except BudgetExceeded as exc:
         return _fail(exc, EXIT_BUDGET)
+    except KeyError as exc:  # artifact without a required field
+        return _fail(f"artifact lacks {exc.args[0]}", EXIT_IO)
     except (OSError, json.JSONDecodeError) as exc:  # unreadable artifact
         return _fail(exc, EXIT_IO)
     except ValueError as exc:
         return _fail(exc, EXIT_USAGE)
 
 
-def _fail(exc: Exception, code: int) -> int:
+def _fail(exc, code: int) -> int:
     print(f"error: {exc}", file=sys.stderr)
     return code
 

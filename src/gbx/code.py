@@ -161,6 +161,10 @@ def code_to_dict(code: CssCode, embed_matrices: bool = False) -> dict:
 
 
 def code_from_dict(doc: dict) -> CssCode:
+    missing = [key for key in ("ell", "a", "b")
+               if not isinstance(doc, dict) or key not in doc]
+    if missing:
+        raise KeyError(", ".join(missing))
     ell = int(doc["ell"])
     a = parse_ring_poly(doc["a"], ell)
     b = parse_ring_poly(doc["b"], ell)

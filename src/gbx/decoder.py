@@ -69,11 +69,19 @@ def _prior_llr(prior, n: int) -> np.ndarray:
 
 def bp_minsum_batch(H: np.ndarray, syndromes: np.ndarray, prior,
                     cfg: DecoderConfig):
-    """Vectorized min-sum over a batch of syndromes.
+    """Vectorized min-sum over a batch of syndromes, on the Tanner-graph edges.
+
+    Messages live on the edges only. Row i of a padded (m, w) table lists
+    the neighbours of check i in ascending column order, w being the largest
+    check degree, so a batch holds (B, m, w) messages: memory scales with the
+    edges, not with m * n. Each variable sums its check messages through an
+    (n, d) slot table, d the largest variable degree, adding them one at a
+    time in ascending check order over a zero pad slot, which is the
+    arithmetic of a dense column sum. Rows that satisfy their syndrome leave
+    the active set after every iteration, frozen at that iteration's state,
+    so each row's result is the same in any batch.
 
     Returns (hard, marginals, converged, iterations) with leading batch axis.
-    Converged rows are frozen at their first satisfying iteration, so results
-    do not depend on how trials are batched.
     """
     H = np.asarray(H, dtype=np.uint8) & 1
     m, n = H.shape
@@ -83,50 +91,62 @@ def bp_minsum_batch(H: np.ndarray, syndromes: np.ndarray, prior,
     B = S.shape[0]
     llr0 = _prior_llr(prior, n)
 
-    mask = H.astype(bool)[None, :, :]  # (1, m, n)
-    syn_sign = 1.0 - 2.0 * S.astype(np.float64)  # (B, m)
-    M = np.where(mask, llr0[None, None, :], 0.0) * np.ones((B, 1, 1))
+    # check-major neighbour table; pad slots hold column 0 and are masked
+    rows, cols = np.nonzero(H)  # row-major: ascending column within a check
+    deg = np.bincount(rows, minlength=m)
+    w = max(int(deg.max(initial=0)), 1)
+    slot = np.arange(rows.size) - np.repeat(np.cumsum(deg) - deg, deg)
+    nbr = np.zeros((m, w), dtype=np.intp)
+    nbr[rows, slot] = cols
+    pos = np.arange(w)
+    edge = pos < deg[:, None]
+    # variable-major slot table into the flat messages; pad -> zero slot m*w
+    by_var = np.argsort(cols, kind="stable")  # keeps ascending checks
+    vdeg = np.bincount(cols, minlength=n)
+    vslot = np.arange(cols.size) - np.repeat(np.cumsum(vdeg) - vdeg, vdeg)
+    gather = np.full((n, int(vdeg.max(initial=0))), m * w, dtype=np.intp)
+    gather[cols[by_var], vslot] = (rows * w + slot)[by_var]
 
     hard_out = np.zeros((B, n), dtype=np.uint8)
     marg_out = np.tile(llr0, (B, 1))
     iters = np.zeros(B, dtype=np.int64)
     done = np.zeros(B, dtype=bool)
 
-    Ht = H.T.astype(np.uint8)
+    active = np.arange(B)
+    syn = S
+    syn_sign = 1.0 - 2.0 * S.astype(np.float64)  # (B, m)
+    M = np.broadcast_to(llr0[nbr], (B, m, w))  # pad slots are masked
+    E = np.zeros((B, m * w + 1))  # flat check messages plus the zero slot
     for it in range(1, cfg.max_iter + 1):
-        # check update: per row, scaled min of the other magnitudes with the
-        # extrinsic sign product and the syndrome sign
-        absM = np.where(mask, np.abs(M), np.inf)
-        sgn = np.where(mask & (M < 0), -1.0, 1.0)
-        rowsign = sgn.prod(axis=2)  # (B, m)
-        amin = absM.argmin(axis=2)
-        min1 = np.take_along_axis(absM, amin[..., None], axis=2)[..., 0]
-        tmp = absM.copy()
-        np.put_along_axis(tmp, amin[..., None], np.inf, axis=2)
-        min2 = tmp.min(axis=2)
-        ext_min = np.where(np.arange(n)[None, None, :] == amin[..., None],
-                           min2[..., None], min1[..., None])
-        ext_min = np.minimum(ext_min, LLR_CAP)
-        E = cfg.ms_scale * (syn_sign * rowsign)[..., None] * sgn * ext_min
-        E = np.where(mask, E, 0.0)
-        # variable update and marginals
-        colsum = E.sum(axis=1)  # (B, n)
-        marg = llr0[None, :] + colsum
-        M = np.where(mask, marg[:, None, :] - E, 0.0)
-        hard = (marg <= 0.0).astype(np.uint8)
-        sat = (((hard @ Ht) & 1) == S).all(axis=1)
-        newly = sat & ~done
-        if newly.any():
-            hard_out[newly] = hard[newly]
-            marg_out[newly] = marg[newly]
-            iters[newly] = it
-            done |= newly
-        if done.all():
+        if active.size == 0:
             break
-        # keep the latest state for rows that never converge
-        hard_out[~done] = hard[~done]
-        marg_out[~done] = marg[~done]
-        iters[~done] = it
+        # check update: per check, scaled min of the other magnitudes with
+        # the extrinsic sign product and the syndrome sign
+        absM = np.where(edge, np.abs(M), np.inf)
+        sgn = np.where(edge & (M < 0), -1.0, 1.0)
+        rowsign = sgn.prod(axis=2)  # (Ba, m)
+        amin = absM.argmin(axis=2)[..., None]
+        min1 = np.take_along_axis(absM, amin, axis=2)
+        np.put_along_axis(absM, amin, np.inf, axis=2)
+        min2 = absM.min(axis=2, keepdims=True)
+        ext_min = np.minimum(np.where(pos == amin, min2, min1), LLR_CAP)
+        Ec = cfg.ms_scale * (syn_sign * rowsign)[..., None] * sgn * ext_min
+        E[:, :-1] = Ec.reshape(len(active), m * w)
+        # variable update and marginals
+        colsum = np.zeros((len(active), n))
+        for k in range(gather.shape[1]):
+            colsum += E[:, gather[:, k]]
+        marg = llr0[None, :] + colsum
+        M = marg[:, nbr] - Ec
+        hard = (marg <= 0.0).astype(np.uint8)
+        sat = (((hard[:, nbr] & edge).sum(axis=2) & 1) == syn).all(axis=1)
+        hard_out[active] = hard
+        marg_out[active] = marg
+        iters[active] = it
+        done[active] = sat
+        keep = ~sat
+        active, syn, syn_sign = active[keep], syn[keep], syn_sign[keep]
+        M, E = M[keep], E[keep]
     return hard_out, marg_out, done, iters
 
 
@@ -193,18 +213,21 @@ def osd_postprocess(H, syndrome, soft, cfg: DecoderConfig) -> DecodeOutcome:
 def decode_batch(H, S, prior, cfg: DecoderConfig) -> np.ndarray:
     """Decode one sector for a batch of syndromes (one per row of S).
 
-    BP runs on every row; OSD replaces the estimate of each row whose BP
-    hard decision misses its syndrome (every row in ``always`` mode, none
-    in ``off`` mode). Returns the (B, n) estimates.
+    Each distinct syndrome is decoded once and its estimate copied to every
+    row that carries it, so a batch's zero syndromes cost one BP row and a
+    repeated failing syndrome one OSD call. BP runs on every distinct
+    syndrome; OSD replaces the estimate of each one whose BP hard decision
+    misses it (every one in ``always`` mode, none in ``off`` mode). Returns
+    the (B, n) estimates.
     """
     S = np.asarray(S, dtype=np.uint8) & 1
-    hard, marg, conv, _ = bp_minsum_batch(H, S, prior, cfg)
-    if cfg.osd_mode == "off":
-        return hard
-    todo = np.ones_like(conv) if cfg.osd_mode == "always" else ~conv
-    for i in np.flatnonzero(todo):
-        hard[i] = osd_postprocess(H, S[i], marg[i], cfg).estimate
-    return hard
+    U, inverse = np.unique(S, axis=0, return_inverse=True)
+    hard, marg, conv, _ = bp_minsum_batch(H, U, prior, cfg)
+    if cfg.osd_mode != "off":
+        todo = np.ones_like(conv) if cfg.osd_mode == "always" else ~conv
+        for i in np.flatnonzero(todo):
+            hard[i] = osd_postprocess(H, U[i], marg[i], cfg).estimate
+    return hard[inverse.reshape(-1)]
 
 
 def decode(code, syndrome_x, syndrome_z, p, cfg: DecoderConfig | None = None):

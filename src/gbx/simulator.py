@@ -24,6 +24,7 @@ from .code import CssCode
 from .decoder import DecoderConfig, decode_batch
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
+STOP_CHECK_TRIALS = 1024  # early stopping is tested at multiples of this
 
 CSV_COLUMNS = ["code_label", "n", "k", "p", "trials", "failures", "ler",
                "ci_low", "ci_high", "seed"]
@@ -137,7 +138,10 @@ def estimate_ler(code: CssCode, noise: NoiseModel, cfg: DecoderConfig,
                  trials: int, precision: float = 1e-3, seed=0,
                  batch: int = 1024) -> SimReport:
     """Up to `trials` independent trials, stopping early once the 95% CI
-    half-width drops below `precision`. Deterministic given the seed."""
+    half-width drops below `precision`. The width is tested only at
+    multiples of STOP_CHECK_TRIALS trials, and no batch straddles one, so
+    the stopping point does not depend on `batch`. Deterministic given the
+    seed."""
     if trials < 1:
         raise ValueError("need at least one trial")
     if code.lx is None or code.lz is None:
@@ -146,12 +150,14 @@ def estimate_ler(code: CssCode, noise: NoiseModel, cfg: DecoderConfig,
     done = 0
     failures = 0
     while done < trials:
-        count = min(batch, trials - done)
+        to_check = STOP_CHECK_TRIALS - done % STOP_CHECK_TRIALS
+        count = min(batch, trials - done, to_check)
         failures += _run_batch(code, noise, sector_cfg, seed, done, count)
         done += count
-        lo, hi = wilson_interval(failures, done)
-        if (hi - lo) / 2 < precision:
-            break
+        if done % STOP_CHECK_TRIALS == 0:
+            lo, hi = wilson_interval(failures, done)
+            if (hi - lo) / 2 < precision:
+                break
     lo, hi = wilson_interval(failures, done)
     master = seed[0] if isinstance(seed, (tuple, list)) else seed
     return SimReport(code_label=code.label, n=code.n, k=code.k, p=noise.p,

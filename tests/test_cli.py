@@ -172,6 +172,8 @@ BAD_ARGV = [
     (["distance", "--code", "{big}"], EXIT_BUDGET),
     (["distance", "--code", "{missing}"], EXIT_IO),
     (["distance", "--code", "{syn}"], EXIT_IO),  # not a JSON artifact
+    (["distance", "--code", "{empty}"], EXIT_IO),  # {}: no field at all
+    (["distance", "--code", "{no_b}"], EXIT_IO),  # lacks "b"
 ]
 
 
@@ -187,8 +189,12 @@ def test_bad_input_gives_one_error_line_and_exit_code(tmp_path, capsys,
         TripleBlockPlan(base, 3), with_logicals=False)[2]))
     syn = tmp_path / "syn.txt"
     syn.write_text("00000\n01100\n")
-    paths = {"{code}": code, "{syn}": syn, "{big}": big,
-             "{missing}": tmp_path / "missing.json"}
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    no_b = tmp_path / "no_b.json"
+    no_b.write_text('{"ell": 5, "a": "1+x^4"}')
+    paths = {"{code}": code, "{syn}": syn, "{big}": big, "{empty}": empty,
+             "{no_b}": no_b, "{missing}": tmp_path / "missing.json"}
     capsys.readouterr()
     rc = main([str(paths.get(a, a)) for a in argv])
     err = capsys.readouterr().err

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gbx.code import build_gb
-from gbx.decoder import (DecoderConfig, bp_minsum_batch, decode, decode_batch,
-                         osd_postprocess)
+from gbx.decoder import (LLR_CAP, DecoderConfig, _prior_llr, bp_minsum_batch,
+                         decode, decode_batch, osd_postprocess)
+from gbx.extension import extend_family, identity_plan
 from gbx.gf2poly import RingPoly, parse_ring_poly
 
 
@@ -21,6 +22,59 @@ def bp_one(H, syndrome, prior, cfg):
     hard, marg, conv, iters = bp_minsum_batch(
         H, np.asarray(syndrome, dtype=np.uint8)[None, :], prior, cfg)
     return hard[0], marg[0], bool(conv[0]), int(iters[0])
+
+
+def dense_minsum(H, syndromes, prior, cfg):
+    """Reference min-sum on dense (B, m, n) message tensors, the layout the
+    edge-list decoder replaced. Run one row at a time, its column sums add
+    the checks in ascending order, the order the edge-list gather keeps."""
+    H = np.asarray(H, dtype=np.uint8) & 1
+    m, n = H.shape
+    S = np.asarray(syndromes, dtype=np.uint8) & 1
+    B = S.shape[0]
+    llr0 = _prior_llr(prior, n)
+
+    mask = H.astype(bool)[None, :, :]  # (1, m, n)
+    syn_sign = 1.0 - 2.0 * S.astype(np.float64)  # (B, m)
+    M = np.where(mask, llr0[None, None, :], 0.0) * np.ones((B, 1, 1))
+
+    hard_out = np.zeros((B, n), dtype=np.uint8)
+    marg_out = np.tile(llr0, (B, 1))
+    iters = np.zeros(B, dtype=np.int64)
+    done = np.zeros(B, dtype=bool)
+
+    Ht = H.T.astype(np.uint8)
+    for it in range(1, cfg.max_iter + 1):
+        absM = np.where(mask, np.abs(M), np.inf)
+        sgn = np.where(mask & (M < 0), -1.0, 1.0)
+        rowsign = sgn.prod(axis=2)  # (B, m)
+        amin = absM.argmin(axis=2)
+        min1 = np.take_along_axis(absM, amin[..., None], axis=2)[..., 0]
+        tmp = absM.copy()
+        np.put_along_axis(tmp, amin[..., None], np.inf, axis=2)
+        min2 = tmp.min(axis=2)
+        ext_min = np.where(np.arange(n)[None, None, :] == amin[..., None],
+                           min2[..., None], min1[..., None])
+        ext_min = np.minimum(ext_min, LLR_CAP)
+        E = cfg.ms_scale * (syn_sign * rowsign)[..., None] * sgn * ext_min
+        E = np.where(mask, E, 0.0)
+        colsum = E.sum(axis=1)  # (B, n)
+        marg = llr0[None, :] + colsum
+        M = np.where(mask, marg[:, None, :] - E, 0.0)
+        hard = (marg <= 0.0).astype(np.uint8)
+        sat = (((hard @ Ht) & 1) == S).all(axis=1)
+        newly = sat & ~done
+        if newly.any():
+            hard_out[newly] = hard[newly]
+            marg_out[newly] = marg[newly]
+            iters[newly] = it
+            done |= newly
+        if done.all():
+            break
+        hard_out[~done] = hard[~done]
+        marg_out[~done] = marg[~done]
+        iters[~done] = it
+    return hard_out, marg_out, done, iters
 
 
 def repetition_H(n):
@@ -77,20 +131,56 @@ def test_bp_estimate_satisfies_syndrome_when_converged():
 
 
 def test_batch_matches_single():
-    code = make_code()
+    # identity member n=20 and 512 rows: enough for numpy to sum a dense
+    # (B, m, n) column sum in another order than for one row
+    a, b = parse_ring_poly("1+x^4", 5), parse_ring_poly("1+x+x^2+x^4", 5)
+    code = extend_family(identity_plan(a, b, 2))[1]
     rng = np.random.default_rng(72)
     cfg = DecoderConfig(max_iter=15)
-    S = rng.integers(0, 2, size=(20, 5)).astype(np.uint8)
-    # keep only achievable syndromes
-    S = np.array([(code.hz @ e) % 2 for e in
-                  (rng.random((20, 10)) < 0.15).astype(np.uint8)])
+    E = (rng.random((512, code.n)) < 0.15).astype(np.uint8)
+    S = (E @ code.hz.T) % 2
     hard, marg, conv, iters = bp_minsum_batch(code.hz, S, 0.15, cfg)
-    for i in range(20):
+    for i in range(len(S)):
         s_hard, s_marg, s_conv, s_iters = bp_one(code.hz, S[i], 0.15, cfg)
         assert np.array_equal(hard[i], s_hard)
-        assert np.allclose(marg[i], s_marg)
+        assert np.array_equal(marg[i], s_marg)
         assert bool(conv[i]) == s_conv
         assert iters[i] == s_iters
+
+
+@st.composite
+def tanner_problems(draw):
+    """A random small check matrix (empty rows and columns and degree-1
+    checks included), a batch of arbitrary syndromes and a prior."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    density = draw(st.sampled_from([0.15, 0.4, 0.7]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    H = (rng.random((m, n)) < density).astype(np.uint8)
+    S = rng.integers(0, 2, size=(draw(st.integers(1, 8)), m)).astype(np.uint8)
+    prior = draw(st.one_of(
+        st.sampled_from([0.01, 0.1, 0.5]),
+        st.lists(st.floats(1e-3, 0.5), min_size=n, max_size=n)))
+    return H, S, prior
+
+
+# check 0 has no edge, check 1 has degree one, column 3 is empty
+EDGE_CASES = (np.array([[0, 0, 0, 0], [0, 1, 0, 0], [1, 1, 1, 0]], np.uint8),
+              np.array([[0, 1, 1], [1, 0, 1], [0, 0, 0]], np.uint8), 0.1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=tanner_problems(), max_iter=st.integers(1, 12),
+       ms_scale=st.sampled_from([0.3, 0.625, 1.0]))
+@example(problem=EDGE_CASES, max_iter=5, ms_scale=0.625)
+def test_bp_matches_dense_reference_row_by_row(problem, max_iter, ms_scale):
+    H, S, prior = problem
+    cfg = DecoderConfig(max_iter=max_iter, ms_scale=ms_scale)
+    out = bp_minsum_batch(H, S, prior, cfg)
+    for i in range(len(S)):
+        ref = dense_minsum(H, S[i:i + 1], prior, cfg)
+        for got, want in zip(out, ref):
+            assert np.array_equal(got[i], want[0])
 
 
 def test_prior_validation():

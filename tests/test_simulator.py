@@ -7,6 +7,7 @@ import pytest
 
 from gbx.code import build_gb
 from gbx.decoder import DecoderConfig, decode
+from gbx.extension import extend_family, identity_plan
 from gbx.gf2poly import parse_ring_poly
 from gbx.simulator import (NoiseModel, _decoder_prior, classify_failure,
                            estimate_ler, reports_from_csv, reports_to_csv,
@@ -132,6 +133,27 @@ def test_estimate_ler_early_stop():
     assert rep.trials < 100_000  # CI shrinks quickly at tiny p
     lo, hi = wilson_interval(rep.failures, rep.trials)
     assert (hi - lo) / 2 < 5e-3
+
+
+def test_early_stop_point_ignores_batch_size():
+    # the CI rule fires here, so each batch size must stop at the same point
+    code = make_code()
+    for batch in (64, 257, 1024):
+        rep = estimate_ler(code, NoiseModel(0.05), DecoderConfig(),
+                           trials=20_000, precision=5e-3, seed=9,
+                           batch=batch)
+        assert (rep.trials, rep.failures) == (10240, 689), batch
+
+
+def test_failures_ignore_batch_size_on_a_larger_code():
+    # marginals that depend on the batch size flip OSD decisions here
+    a, b = parse_ring_poly("1+x^4", 5), parse_ring_poly("1+x+x^2+x^4", 5)
+    code = extend_family(identity_plan(a, b, 2))[1]
+    for batch in (128, 1024):
+        rep = estimate_ler(code, NoiseModel(0.15), DecoderConfig(),
+                           trials=2048, precision=0.0, seed=(1, 0),
+                           batch=batch)
+        assert rep.failures == 826, batch
 
 
 def test_sweep_deterministic_csv():
