@@ -14,7 +14,6 @@ log((1-p)/p) and the hard decision sets e_i = 1 when the marginal LLR <= 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations
 
 import numpy as np
 
@@ -159,7 +158,13 @@ def osd_postprocess(H, syndrome, soft, cfg: DecoderConfig) -> DecodeOutcome:
     sweep mode additionally tries all weight-1 and weight-2 flips within the
     first ``osd_order`` secondary columns (all of them when it is None; a
     code's decode resolves None to the ring size first, see
-    :meth:`DecoderConfig.for_ring`) and keeps the soft-cost minimum.
+    :meth:`DecoderConfig.for_ring`) and keeps the soft-cost minimum, the
+    first one in candidate order on a tie: (), then weight 1 in secondary
+    column order, then weight 2 in ``itertools.combinations`` order.
+
+    All candidates are scored in one product; those whose approximate cost
+    lies within a rounding-error bound of the minimum are re-scored exactly,
+    so the choice does not depend on the product's summation order.
     """
     H = np.asarray(H, dtype=np.uint8) & 1
     m, n = H.shape
@@ -169,41 +174,53 @@ def osd_postprocess(H, syndrome, soft, cfg: DecoderConfig) -> DecodeOutcome:
         raise ValueError("soft reliabilities required for every bit")
 
     order = np.argsort(llr, kind="stable")  # most error-prone first
+    lp = np.append(llr[order], 0.0)  # entry n: no flip, zero cost
     R, piv_cols = row_reduce(np.hstack([H[:, order], s[:, None]]))
     if piv_cols and piv_cols[-1] == n:
         raise ValueError("syndrome is not in the column space of H")
-    A, b = R[:, :n], R[:, n]
     rank = len(piv_cols)
-
-    piv_set = set(piv_cols)
-    nonpiv = [c for c in range(n) if c not in piv_set]
+    b = R[:rank, n]
+    nonpiv = np.delete(np.arange(n), piv_cols)
     w = len(nonpiv) if cfg.osd_order is None else min(cfg.osd_order, len(nonpiv))
+    T = nonpiv[:w]
 
-    def assemble(t_cols: tuple) -> np.ndarray:
-        e = np.zeros(n, dtype=np.uint8)
-        rhs = b[:rank].copy()
-        for c in t_cols:
-            rhs ^= A[:rank, c]
-            e[c] = 1
-        for i, c in enumerate(piv_cols):
-            e[c] = rhs[i]
-        return e
-
-    candidates = [()]
+    # candidate k flips columns f1[k] and f2[k]; column n stands for no flip
+    f1 = f2 = np.array([n])
     if cfg.osd_mode == "sweep" and w > 0:
-        candidates += [(c,) for c in nonpiv[:w]]
-        candidates += list(combinations(nonpiv[:w], 2))
+        # pairs j1 < j2 in row-major order, which is combinations order
+        j1, j2 = np.nonzero(np.arange(w)[:, None] < np.arange(w))
+        f1 = np.concatenate([f1, T, T[j1]])
+        f2 = np.concatenate([f2, np.full(w, n), T[j2]])
+    AT = R[:rank].T.copy()  # AT[c]: column c in the pivot rows
+    AT[n] = 0  # the syndrome column becomes "no flip"
 
-    best_e = None
-    best_cost = None
-    for t in candidates:
-        e_perm = assemble(t)
-        cost = float(llr[order[e_perm == 1]].sum())
-        if best_cost is None or cost < best_cost:
-            best_cost = cost
-            best_e = e_perm
+    def pivot_bits(k):
+        return b ^ AT[f1[k]] ^ AT[f2[k]]
+
+    approx = np.empty(len(f1))
+    step = max(1, (1 << 18) // max(rank, 1))  # bounds the temporaries
+    for lo in range(0, len(f1), step):
+        k = slice(lo, lo + step)
+        approx[k] = pivot_bits(k) @ lp[piv_cols] + lp[f1[k]] + lp[f2[k]]
+
+    # A cost sums at most n + 2 terms of total magnitude <= sum|lp|, so two
+    # summation orders differ by at most g = (n + 2) eps sum|lp|: a candidate
+    # more than 2g above the approximate minimum costs more, exactly, than
+    # the candidate there. tol = 4g leaves a factor 2 for higher-order terms.
+    tol = 4 * (n + 2) * np.finfo(np.float64).eps * float(np.abs(lp).sum())
+    rescore_all = not (np.isfinite(tol) and np.isfinite(approx).all())
+    near = np.flatnonzero((approx <= approx.min() + tol) | rescore_all)
+    E = np.zeros((len(near), n + 1), dtype=np.uint8)
+    E[np.arange(len(near)), f1[near]] = 1
+    E[np.arange(len(near)), f2[near]] = 1
+    E[:, piv_cols] = pivot_bits(near)
+    E = E[:, :n]
+    if len(near) > 1:  # exact costs; min keeps the first of equal costs
+        costs = [float(lp[:n][e == 1].sum()) for e in E]
+        E = E[[min(range(len(near)), key=costs.__getitem__)]]
+
     estimate = np.zeros(n, dtype=np.uint8)
-    estimate[order] = best_e
+    estimate[order] = E[0]
     if (((H @ estimate) & 1) != s).any():
         raise AssertionError("OSD produced a non-satisfying estimate")
     return DecodeOutcome(estimate=estimate, soft=llr, bp_converged=False,

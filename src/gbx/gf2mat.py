@@ -70,9 +70,7 @@ def row_reduce(M) -> tuple[np.ndarray, list]:
         if piv != r:
             A[[r, piv]] = A[[piv, r]]
         elim = np.nonzero(A[:, c])[0]
-        for i in elim:
-            if i != r:
-                A[i] ^= A[r]
+        A[elim[elim != r]] ^= A[r]
         pivots.append(c)
         r += 1
     return A, pivots
@@ -83,21 +81,11 @@ def rank_gf2(M) -> int:
     return len(row_reduce(M)[1])
 
 
-def row_basis(M) -> np.ndarray:
-    """Rows forming a basis of the row space, in echelon form."""
-    R, pivots = row_reduce(M)
-    return R[: len(pivots)]
-
-
 def nullspace(M) -> np.ndarray:
     """Basis of the right nullspace over GF(2), one vector per row."""
-    A = as_gf2(M)
-    R, pivots = row_reduce(A)
-    cols = A.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.uint8)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = R[i, fc]
+    R, pivots = row_reduce(M)
+    free = np.delete(np.arange(R.shape[1]), pivots)
+    basis = np.zeros((len(free), R.shape[1]), dtype=np.uint8)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = R[:len(pivots)][:, free].T
     return basis

@@ -113,14 +113,6 @@ class RingPoly:
     def from_mask(cls, mask: int, ring_dim: int) -> "RingPoly":
         return cls(mask, ring_dim)
 
-    @classmethod
-    def zero(cls, ring_dim: int) -> "RingPoly":
-        return cls(0, ring_dim)
-
-    @classmethod
-    def one(cls, ring_dim: int) -> "RingPoly":
-        return cls(1, ring_dim)
-
     # -- views -------------------------------------------------------------
 
     @property

@@ -144,6 +144,8 @@ def estimate_ler(code: CssCode, noise: NoiseModel, cfg: DecoderConfig,
     seed."""
     if trials < 1:
         raise ValueError("need at least one trial")
+    if batch < 1:
+        raise ValueError("batch must be at least 1")
     if code.lx is None or code.lz is None:
         raise ValueError("code needs a populated logical basis")
     sector_cfg = cfg.for_ring(code.ell)

@@ -4,13 +4,13 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from gbx.code import (build_gb, code_from_json, code_to_dict, code_to_json,
                       dimension_gcd, dimension_rank, logical_basis, to_alist,
                       weight_profile)
-from gbx.gf2mat import nullspace, rank_gf2, row_basis, row_reduce
+from gbx.gf2mat import nullspace, rank_gf2, row_reduce
 from gbx.gf2poly import RingPoly, parse_ring_poly
 
 
@@ -66,9 +66,9 @@ def test_dimension_examples():
 
 def test_build_validation():
     with pytest.raises(ValueError):
-        build_gb(RingPoly.zero(4), RingPoly.zero(4))
+        build_gb(RingPoly(0, 4), RingPoly(0, 4))
     with pytest.raises(ValueError):
-        build_gb(RingPoly.one(4), RingPoly.one(5))
+        build_gb(RingPoly(1, 4), RingPoly(1, 5))
 
 
 def test_logical_basis_properties():
@@ -106,6 +106,10 @@ def test_logical_basis_random_codes():
 def greedy_quotient_basis(kernel_of, mod_rows_of, k):
     """Reference: scan the nullspace basis in order and keep each vector
     that raises the rank of the stabilizers plus the vectors kept so far."""
+    def row_basis(M):
+        R, pivots = row_reduce(M)
+        return R[:len(pivots)]
+
     work = row_basis(mod_rows_of)
     picked = []
     for v in nullspace(kernel_of):
@@ -118,7 +122,10 @@ def greedy_quotient_basis(kernel_of, mod_rows_of, k):
     return np.array(picked, dtype=np.uint8)
 
 
-@settings(max_examples=60, deadline=None)
+# most random pairs give k = 0 and are filtered, which trips the
+# filter_too_much health check on about one run in ten
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
 @given(ell=st.integers(2, 12), data=st.data())
 def test_logical_basis_equals_greedy_rank_scan(ell, data):
     am = data.draw(st.integers(1, (1 << ell) - 1))

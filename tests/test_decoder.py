@@ -1,5 +1,7 @@
 """Min-sum BP and ordered-statistics post-processing."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +11,7 @@ from gbx.code import build_gb
 from gbx.decoder import (LLR_CAP, DecoderConfig, _prior_llr, bp_minsum_batch,
                          decode, decode_batch, osd_postprocess)
 from gbx.extension import extend_family, identity_plan
+from gbx.gf2mat import row_reduce
 from gbx.gf2poly import RingPoly, parse_ring_poly
 
 
@@ -75,6 +78,46 @@ def dense_minsum(H, syndromes, prior, cfg):
         marg_out[~done] = marg[~done]
         iters[~done] = it
     return hard_out, marg_out, done, iters
+
+
+def osd_reference(H, syndrome, soft, cfg):
+    """Reference OSD estimate: the per-candidate loop the vectorized scoring
+    replaced. Candidates are tried one at a time in candidate order, each
+    scored by its exact cost sum, and the first strict minimum is kept."""
+    H = np.asarray(H, dtype=np.uint8) & 1
+    m, n = H.shape
+    s = np.asarray(syndrome, dtype=np.uint8) & 1
+    llr = np.asarray(soft, dtype=np.float64)
+    order = np.argsort(llr, kind="stable")
+    R, piv_cols = row_reduce(np.hstack([H[:, order], s[:, None]]))
+    A, b = R[:, :n], R[:, n]
+    rank = len(piv_cols)
+    nonpiv = [c for c in range(n) if c not in set(piv_cols)]
+    w = len(nonpiv) if cfg.osd_order is None else min(cfg.osd_order, len(nonpiv))
+
+    def assemble(t_cols):
+        e = np.zeros(n, dtype=np.uint8)
+        rhs = b[:rank].copy()
+        for c in t_cols:
+            rhs ^= A[:rank, c]
+            e[c] = 1
+        for i, c in enumerate(piv_cols):
+            e[c] = rhs[i]
+        return e
+
+    candidates = [()]
+    if cfg.osd_mode == "sweep" and w > 0:
+        candidates += [(c,) for c in nonpiv[:w]]
+        candidates += list(combinations(nonpiv[:w], 2))
+    best_e = best_cost = None
+    for t in candidates:
+        e_perm = assemble(t)
+        cost = float(llr[order[e_perm == 1]].sum())
+        if best_cost is None or cost < best_cost:
+            best_cost, best_e = cost, e_perm
+    estimate = np.zeros(n, dtype=np.uint8)
+    estimate[order] = best_e
+    return estimate
 
 
 def repetition_H(n):
@@ -242,6 +285,53 @@ def test_osd_sweep_never_worse_than_order0():
                              DecoderConfig(osd_mode="sweep", osd_order=10))
         cost = lambda est: float(soft[est == 1].sum())
         assert cost(cs.estimate) <= cost(c0.estimate) + 1e-12
+
+
+# soft vectors: generic floats; small integers, so that exact cost ties
+# happen; decimals whose sums round differently in different orders; and
+# LLR_CAP-scale entries beside small ones
+SOFT_VALUES = {
+    "normal": None,
+    "integers": [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0],
+    "decimals": [-0.3, -0.2, -0.1, 0.1, 0.2, 0.3, 0.7, 1e-17],
+    "capped": [-LLR_CAP, -0.5, 0.25, 1.0, LLR_CAP, 2 * LLR_CAP, 3 * LLR_CAP],
+}
+
+
+@st.composite
+def osd_problems(draw):
+    """A random check matrix, a reachable syndrome and a soft vector."""
+    m, n = draw(st.integers(1, 7)), draw(st.integers(1, 12))
+    density = draw(st.sampled_from([0.2, 0.5, 0.8]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    H = (rng.random((m, n)) < density).astype(np.uint8)
+    s = (H @ rng.integers(0, 2, size=n)) % 2
+    values = SOFT_VALUES[draw(st.sampled_from(sorted(SOFT_VALUES)))]
+    soft = rng.normal(size=n) if values is None else rng.choice(values, n)
+    return H, s, soft
+
+
+# exact cost sums tie in the reals here and round apart in the sweep, so
+# the choice depends on which near-minimum candidates are re-scored
+ROUNDING_TIE = (
+    np.array([[1, 0, 0, 0, 0, 0, 0, 0, 0, 0], [1, 0, 0, 1, 0, 0, 0, 0, 0, 0],
+              [0, 0, 1, 0, 0, 1, 0, 0, 0, 1], [0, 0, 1, 1, 1, 0, 0, 0, 0, 0],
+              [0, 1, 1, 0, 0, 0, 1, 0, 0, 1], [0, 1, 1, 0, 0, 1, 1, 0, 1, 0],
+              [0, 0, 0, 0, 0, 0, 0, 0, 0, 0]], dtype=np.uint8),
+    np.array([0, 0, 1, 0, 1, 0, 0], dtype=np.uint8),
+    np.array([0.7, 0.1, 0.1, -0.3, -0.3, 0.2, 0.1, -0.3, 0.7, 0.7]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(problem=osd_problems(),
+       mode=st.sampled_from(["order0", "sweep", "always"]),
+       order=st.one_of(st.none(), st.integers(0, 12)))
+@example(problem=ROUNDING_TIE, mode="sweep", order=None)
+def test_osd_matches_per_candidate_reference(problem, mode, order):
+    H, s, soft = problem
+    cfg = DecoderConfig(osd_mode=mode, osd_order=order)
+    got = osd_postprocess(H, s, soft, cfg).estimate
+    assert np.array_equal(got, osd_reference(H, s, soft, cfg))
 
 
 def test_decode_sector_falls_back_to_osd():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gbx.gf2mat import (as_gf2, circulant_from_poly, is_circulant, nullspace,
-                        poly_from_circulant, rank_gf2, row_basis, row_reduce)
+                        poly_from_circulant, rank_gf2, row_reduce)
 from gbx.gf2poly import RingPoly, poly_mul
 
 
@@ -120,6 +120,7 @@ def test_in_rowspace():
 
 def test_row_basis_spans_input():
     A = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=np.uint8)
-    B = row_basis(A)
+    R, pivots = row_reduce(A)
+    B = R[:len(pivots)]
     assert B.shape == (2, 3)
     assert rank_gf2(np.vstack([A, B])) == 2

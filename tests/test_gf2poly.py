@@ -111,8 +111,8 @@ def test_ringpoly_construction_and_views():
     assert p.degree == 4
     assert p.weight == 3
     assert str(p) == "1+x+x^4"
-    assert RingPoly.zero(4).mask == 0
-    assert RingPoly.one(4).mask == 1
+    assert RingPoly(0, 4).mask == 0
+    assert RingPoly(1, 4).mask == 1
 
 
 def test_ringpoly_validation():

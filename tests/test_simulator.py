@@ -126,6 +126,14 @@ def test_estimate_ler_matches_run_trial():
         assert rep.failures == scalar
 
 
+@pytest.mark.parametrize("batch", [0, -1])
+def test_estimate_ler_rejects_batch_below_one(batch):
+    # a batch of no trials would never advance the trial count
+    with pytest.raises(ValueError):
+        estimate_ler(make_code(), NoiseModel(0.05), DecoderConfig(),
+                     trials=100, batch=batch)
+
+
 def test_estimate_ler_early_stop():
     code = make_code()
     rep = estimate_ler(code, NoiseModel(0.001), DecoderConfig(),
@@ -164,6 +172,16 @@ def test_sweep_deterministic_csv():
     r2 = sweep([code], grid, cfg, trials=400, seed=13)
     assert reports_to_csv(r1) == reports_to_csv(r2)
     assert [r.p for r in r1] == grid
+
+
+def test_sweep_csv_ignores_thread_count():
+    a, b = parse_ring_poly("1+x^4", 5), parse_ring_poly("1+x+x^2+x^4", 5)
+    family = [make_code(), extend_family(identity_plan(a, b, 2))[1]]
+    args = (family, [0.05, 0.12], DecoderConfig())
+    serial = sweep(*args, trials=300, seed=21, threads=1)
+    pooled = sweep(*args, trials=300, seed=21, threads=2)
+    assert reports_to_csv(pooled) == reports_to_csv(serial)
+    assert [r.n for r in serial] == [10, 10, 20, 20]
 
 
 def test_csv_roundtrip():
