@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -220,6 +221,8 @@ def _parse_members(spec: str, count: int) -> list:
 
 
 def cmd_sweep(args) -> int:
+    if not (math.isfinite(args.p_step) and args.p_step > 0):
+        raise ValueError("--p-step must be positive and finite")
     if ".." in args.members:
         top = int(args.members.split("..")[1])
     else:

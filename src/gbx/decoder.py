@@ -150,81 +150,133 @@ def bp_minsum_batch(H: np.ndarray, syndromes: np.ndarray, prior,
 
 
 def osd_postprocess(H, syndrome, soft, cfg: DecoderConfig) -> DecodeOutcome:
-    """Ordered-statistics solve of H e = s.
+    """Ordered-statistics solve of H e = s for a stack of syndromes.
 
-    Columns are ranked by decreasing error probability (ascending marginal
-    LLR, ties to the lower index). The first rank(H) independent columns
-    form the information set; order-0 solves the restricted system exactly,
-    sweep mode additionally tries all weight-1 and weight-2 flips within the
-    first ``osd_order`` secondary columns (all of them when it is None; a
-    code's decode resolves None to the ring size first, see
+    Takes (K, m) syndromes with (K, n) soft values and returns (K, n)
+    estimates; a 1-D syndrome with a 1-D soft vector is a batch of one and
+    gets 1-D arrays back. Each row is solved on its own: columns are ranked
+    by decreasing error probability (ascending marginal LLR, ties to the
+    lower index), and the first rank(H) independent columns form the
+    information set. Order-0 solves the restricted system exactly; sweep
+    mode additionally tries all weight-1 and weight-2 flips within the first
+    ``osd_order`` secondary columns (all of them when it is None; a code's
+    decode resolves None to the ring size first, see
     :meth:`DecoderConfig.for_ring`) and keeps the soft-cost minimum, the
     first one in candidate order on a tie: (), then weight 1 in secondary
     column order, then weight 2 in ``itertools.combinations`` order.
 
-    All candidates are scored in one product; those whose approximate cost
-    lies within a rounding-error bound of the minimum are re-scored exactly,
-    so the choice does not depend on the product's summation order.
+    Ranking, candidate tables and approximate costs are computed for the
+    whole stack at once, the costs in blocks of at most 2^18 pivot bits;
+    each row's system is eliminated with :func:`row_reduce`. In a row,
+    candidates whose approximate cost lies within a rounding-error bound of
+    the minimum are re-scored exactly, so the choice does not depend on the
+    product's summation order. Raises ValueError when a syndrome is not in
+    the column space of H.
     """
     H = np.asarray(H, dtype=np.uint8) & 1
     m, n = H.shape
-    s = np.asarray(syndrome, dtype=np.uint8) & 1
+    S = np.asarray(syndrome, dtype=np.uint8) & 1
     llr = np.asarray(soft, dtype=np.float64)
-    if llr.shape != (n,):
+    single = S.ndim == 1
+    S, llr = np.atleast_2d(S), np.atleast_2d(llr)
+    K = S.shape[0]
+    if S.ndim != 2 or S.shape[1] != m:
+        raise ValueError("syndrome length must equal the number of checks")
+    if llr.shape != (K, n):
         raise ValueError("soft reliabilities required for every bit")
+    if K == 0:
+        return DecodeOutcome(estimate=np.zeros((0, n), dtype=np.uint8),
+                             soft=llr, bp_converged=False, osd_used=True,
+                             iterations=0)
 
-    order = np.argsort(llr, kind="stable")  # most error-prone first
-    lp = np.append(llr[order], 0.0)  # entry n: no flip, zero cost
-    R, piv_cols = row_reduce(np.hstack([H[:, order], s[:, None]]))
-    if piv_cols and piv_cols[-1] == n:
-        raise ValueError("syndrome is not in the column space of H")
-    rank = len(piv_cols)
-    b = R[:rank, n]
-    nonpiv = np.delete(np.arange(n), piv_cols)
-    w = len(nonpiv) if cfg.osd_order is None else min(cfg.osd_order, len(nonpiv))
-    T = nonpiv[:w]
+    col = np.arange(K)[:, None]  # row index, broadcast along columns
+    order = np.argsort(llr, axis=1, kind="stable")  # most error-prone first
+    lp = np.zeros((K, n + 1))  # entry n of each row: no flip, zero cost
+    lp[:, :n] = llr[col, order]
+    # row i holds [H[:, order[i]] | s_i] transposed: one line per column
+    columns = np.concatenate([H.T[order], S[:, None, :]], axis=1)
+    for i, A in enumerate(columns):
+        R, p = row_reduce(A.T)
+        if p and p[-1] == n:
+            raise ValueError("syndrome is not in the column space of H")
+        if i == 0:  # every row has rank(H) pivots
+            rank = len(p)
+            piv = np.empty((K, rank), dtype=np.intp)
+            b = np.empty((K, rank), dtype=np.uint8)
+            # AT[i, c]: column c of row i's eliminated system in its pivot
+            # rows; the syndrome column n becomes "no flip"
+            AT = np.zeros((K, n + 1, rank), dtype=np.uint8)
+        piv[i], b[i], AT[i, :n] = p, R[:rank, n], R[:rank, :n].T
+    del columns
+    is_piv = np.zeros((K, n), dtype=bool)
+    is_piv[col, piv] = True
+    nonpiv = np.nonzero(~is_piv)[1].reshape(K, n - rank)
+    w = n - rank if cfg.osd_order is None else min(cfg.osd_order, n - rank)
+    T = nonpiv[:, :w]
 
-    # candidate k flips columns f1[k] and f2[k]; column n stands for no flip
-    f1 = f2 = np.array([n])
+    # candidate k of row i flips columns f1[i, k] and f2[i, k]; column n
+    # stands for no flip
+    f1 = f2 = np.full((K, 1), n)
     if cfg.osd_mode == "sweep" and w > 0:
         # pairs j1 < j2 in row-major order, which is combinations order
         j1, j2 = np.nonzero(np.arange(w)[:, None] < np.arange(w))
-        f1 = np.concatenate([f1, T, T[j1]])
-        f2 = np.concatenate([f2, np.full(w, n), T[j2]])
-    AT = R[:rank].T.copy()  # AT[c]: column c in the pivot rows
-    AT[n] = 0  # the syndrome column becomes "no flip"
+        f1 = np.hstack([f1, T, T[:, j1]])
+        f2 = np.hstack([f2, np.full((K, w), n), T[:, j2]])
+    C = f1.shape[1]
+    lp_piv = lp[col, piv]
 
-    def pivot_bits(k):
-        return b ^ AT[f1[k]] ^ AT[f2[k]]
+    def pivot_bits(rows, k):
+        return b[rows] ^ AT[rows, f1[rows, k]] ^ AT[rows, f2[rows, k]]
 
-    approx = np.empty(len(f1))
+    # approximate costs over (row, candidate) pairs, pair index i * C + k
+    approx = np.empty(K * C)
     step = max(1, (1 << 18) // max(rank, 1))  # bounds the temporaries
-    for lo in range(0, len(f1), step):
-        k = slice(lo, lo + step)
-        approx[k] = pivot_bits(k) @ lp[piv_cols] + lp[f1[k]] + lp[f2[k]]
+    for lo in range(0, K * C, step):
+        rows, k = np.divmod(np.arange(lo, min(lo + step, K * C)), C)
+        approx[lo:lo + len(rows)] = (
+            np.einsum("pr,pr->p", pivot_bits(rows, k), lp_piv[rows])
+            + lp[rows, f1[rows, k]] + lp[rows, f2[rows, k]])
+    approx = approx.reshape(K, C)
 
     # A cost sums at most n + 2 terms of total magnitude <= sum|lp|, so two
     # summation orders differ by at most g = (n + 2) eps sum|lp|: a candidate
     # more than 2g above the approximate minimum costs more, exactly, than
     # the candidate there. tol = 4g leaves a factor 2 for higher-order terms.
-    tol = 4 * (n + 2) * np.finfo(np.float64).eps * float(np.abs(lp).sum())
-    rescore_all = not (np.isfinite(tol) and np.isfinite(approx).all())
-    near = np.flatnonzero((approx <= approx.min() + tol) | rescore_all)
-    E = np.zeros((len(near), n + 1), dtype=np.uint8)
-    E[np.arange(len(near)), f1[near]] = 1
-    E[np.arange(len(near)), f2[near]] = 1
-    E[:, piv_cols] = pivot_bits(near)
-    E = E[:, :n]
-    if len(near) > 1:  # exact costs; min keeps the first of equal costs
-        costs = [float(lp[:n][e == 1].sum()) for e in E]
-        E = E[[min(range(len(near)), key=costs.__getitem__)]]
+    tol = 4 * (n + 2) * np.finfo(np.float64).eps * np.abs(lp).sum(axis=1)
+    rescore_all = ~(np.isfinite(tol) & np.isfinite(approx).all(axis=1))
+    near = ((approx <= approx.min(axis=1)[:, None]
+             + tol[:, None]) | rescore_all[:, None])
+    pick = near.argmax(axis=1)  # the only near candidate, unless ...
+    for i in np.flatnonzero(near.sum(axis=1) > 1):  # ... exact costs decide
+        cand = np.flatnonzero(near[i])
+        E = _candidate_flips(n, piv[i], f1[i, cand], f2[i, cand],
+                             pivot_bits(i, cand))
+        costs = [float(lp[i, :n][e == 1].sum()) for e in E]
+        # min keeps the first of equal costs
+        pick[i] = cand[min(range(len(cand)), key=costs.__getitem__)]
 
-    estimate = np.zeros(n, dtype=np.uint8)
-    estimate[order] = E[0]
-    if (((H @ estimate) & 1) != s).any():
+    rows = col[:, 0]
+    E = _candidate_flips(n, piv, f1[rows, pick], f2[rows, pick],
+                         pivot_bits(rows, pick))
+    estimate = np.zeros((K, n), dtype=np.uint8)
+    estimate[col, order] = E
+    if (((estimate @ H.T) & 1) != S).any():
         raise AssertionError("OSD produced a non-satisfying estimate")
+    if single:
+        estimate, llr = estimate[0], llr[0]
     return DecodeOutcome(estimate=estimate, soft=llr, bp_converged=False,
                          osd_used=True, iterations=0)
+
+
+def _candidate_flips(n, piv, f1, f2, bits) -> np.ndarray:
+    """Permuted estimates of candidates that flip f1 and f2 (column n: no
+    flip) and set the pivot columns piv to bits; one row per candidate."""
+    row = np.arange(len(f1))
+    E = np.zeros((len(f1), n + 1), dtype=np.uint8)
+    E[row, f1] = 1
+    E[row, f2] = 1
+    E[row[:, None], piv] = bits
+    return E[:, :n]
 
 
 def decode_batch(H, S, prior, cfg: DecoderConfig) -> np.ndarray:
@@ -232,18 +284,17 @@ def decode_batch(H, S, prior, cfg: DecoderConfig) -> np.ndarray:
 
     Each distinct syndrome is decoded once and its estimate copied to every
     row that carries it, so a batch's zero syndromes cost one BP row and a
-    repeated failing syndrome one OSD call. BP runs on every distinct
-    syndrome; OSD replaces the estimate of each one whose BP hard decision
-    misses it (every one in ``always`` mode, none in ``off`` mode). Returns
-    the (B, n) estimates.
+    repeated failing syndrome one OSD row. BP runs on every distinct
+    syndrome; one OSD call on the stack of those whose BP hard decision
+    misses the syndrome (every one in ``always`` mode, none in ``off`` mode)
+    replaces their estimates. Returns the (B, n) estimates.
     """
     S = np.asarray(S, dtype=np.uint8) & 1
     U, inverse = np.unique(S, axis=0, return_inverse=True)
     hard, marg, conv, _ = bp_minsum_batch(H, U, prior, cfg)
     if cfg.osd_mode != "off":
-        todo = np.ones_like(conv) if cfg.osd_mode == "always" else ~conv
-        for i in np.flatnonzero(todo):
-            hard[i] = osd_postprocess(H, U[i], marg[i], cfg).estimate
+        todo = np.flatnonzero(~conv | (cfg.osd_mode == "always"))
+        hard[todo] = osd_postprocess(H, U[todo], marg[todo], cfg).estimate
     return hard[inverse.reshape(-1)]
 
 

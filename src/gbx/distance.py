@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .code import CssCode
-from .gf2mat import nullspace, row_reduce
+from .gf2mat import mask_rows, nullspace, row_masks, row_reduce
 
 DEFAULT_BUDGET = 1 << 26
 
@@ -44,34 +44,37 @@ def _sector_min(kernel_checks: np.ndarray, stabilizer_rows: np.ndarray,
     Returns (weight, witness, dim, exact). ``exact`` is False when the cap
     triggered an early exit (a logical of weight < cap suffices).
     """
-    basis = nullspace(kernel_checks)
-    dim = basis.shape[0]
+    n = kernel_checks.shape[1]
+    basis = row_masks(nullspace(kernel_checks))  # int masks, bit j = qubit j
+    dim = len(basis)
     if dim == 0:
         return None, None, 0, True
     if 1 << dim > budget:
         raise BudgetExceeded(f"kernel dimension {dim} exceeds the budget")
+    # stabilizer RREF rows keyed by their pivot bit; being fully reduced,
+    # a vector's residue is its XOR with the rows whose pivot bits it holds
     rref, pivots = row_reduce(stabilizer_rows)
-    rref = rref[: len(pivots)]
-    piv_cols = np.array(pivots, dtype=np.int64)
+    reducer = {1 << c: r for c, r in zip(pivots, row_masks(rref))}
+    pivmask = sum(reducer)
 
     best = None
     witness = None
-    v = np.zeros(basis.shape[1], dtype=np.uint8)
+    v = 0
     for g in range(1, 1 << dim):
         # Gray-code walk: flip the basis vector indexed by the lowest set bit
-        flip = (g & -g).bit_length() - 1
-        v ^= basis[flip]
-        w = int(v.sum())
+        v ^= basis[(g & -g).bit_length() - 1]
+        w = v.bit_count()
         if best is not None and w >= best:
             continue
         # reduce against the stabilizer rowspace; nonzero residue == logical
-        u = v.copy()
-        for i, c in enumerate(piv_cols):
-            if u[c]:
-                u ^= rref[i]
-        if u.any():
+        u, y = v, v & pivmask
+        while y:
+            low = y & -y
+            u ^= reducer[low]
+            y ^= low
+        if u:
             best = w
-            witness = v.copy()
+            witness = mask_rows([v], n)[0]
             if cap is not None and best < cap:
                 return best, witness, dim, False
     return best, witness, dim, True

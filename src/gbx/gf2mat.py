@@ -18,14 +18,29 @@ def as_gf2(M) -> np.ndarray:
     return A & 1
 
 
+def row_masks(M) -> list:
+    """The rows of a GF(2) matrix as int masks, bit j standing for column j."""
+    A = as_gf2(M)
+    w = (A.shape[1] + 7) // 8
+    buf = np.packbits(A, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(buf[i * w:i * w + w], "little")
+            for i in range(A.shape[0])]
+
+
+def mask_rows(masks, cols: int) -> np.ndarray:
+    """Inverse of :func:`row_masks`: a (len(masks), cols) uint8 matrix."""
+    width = (cols + 7) // 8
+    buf = b"".join(x.to_bytes(width, "little") for x in masks)
+    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(masks), width)
+    return np.unpackbits(packed, axis=1, count=cols, bitorder="little")
+
+
 def circulant_from_poly(p: RingPoly) -> np.ndarray:
     """l x l circulant with first column (p_0, ..., p_{l-1}); each later
     column is the previous one shifted cyclically down one step, so
     M[i, j] = p_{(i - j) mod l}."""
     ell = p.ring_dim
-    c = np.unpackbits(np.frombuffer(p.mask.to_bytes((ell + 7) // 8, "little"),
-                                    dtype=np.uint8),
-                      count=ell, bitorder="little")
+    c = mask_rows([p.mask], ell)[0]
     idx = (np.arange(ell)[:, None] - np.arange(ell)[None, :]) % ell
     return c[idx]
 
@@ -49,31 +64,41 @@ def poly_from_circulant(M) -> RingPoly:
         raise ValueError("matrix is not square")
     if not is_circulant(A):
         raise ValueError("matrix is not circulant")
-    mask = int.from_bytes(np.packbits(A[:, 0], bitorder="little").tobytes(),
-                          "little")
-    return RingPoly(mask, A.shape[0])
+    return RingPoly(row_masks(A[:, :1].T)[0], A.shape[0])
 
 
 def row_reduce(M) -> tuple[np.ndarray, list]:
-    """Reduced row-echelon form over GF(2); returns (rref, pivot columns)."""
-    A = as_gf2(M).copy()
+    """Reduced row-echelon form over GF(2); returns (rref, pivot columns).
+
+    Rows are int masks (bit j is column j) inserted one at a time into a
+    fully reduced basis keyed by pivot bit: a row is cleared at the existing
+    pivots, and what is left, if anything, takes its lowest set bit as a new
+    pivot and is XORed into every basis row holding that bit. The RREF is
+    unique, so the result is that of column-by-column elimination; the
+    nonzero rows come first, in pivot order, followed by zero rows.
+    """
+    A = as_gf2(M)
     rows, cols = A.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        hits = np.nonzero(A[r:, c])[0]
-        if hits.size == 0:
+    basis = {}  # pivot bit index -> reduced row
+    pivmask = 0
+    for x in row_masks(A):
+        y = x & pivmask
+        while y:
+            low = y & -y
+            x ^= basis[low.bit_length() - 1]
+            y ^= low
+        if not x:
             continue
-        piv = r + hits[0]
-        if piv != r:
-            A[[r, piv]] = A[[piv, r]]
-        elim = np.nonzero(A[:, c])[0]
-        A[elim[elim != r]] ^= A[r]
-        pivots.append(c)
-        r += 1
-    return A, pivots
+        low = x & -x
+        for b, r in basis.items():
+            if r & low:
+                basis[b] = r ^ x
+        basis[low.bit_length() - 1] = x
+        pivmask |= low
+    pivots = sorted(basis)
+    R = mask_rows([basis[b] for b in pivots] + [0] * (rows - len(pivots)),
+                  cols)
+    return R, pivots
 
 
 def rank_gf2(M) -> int:

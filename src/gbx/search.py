@@ -70,10 +70,10 @@ def search_base_codes(flt: SearchFilter, seed: int = 0
             if flt.require_distance is not None or flt.ler_screen is not None:
                 if k == 0:
                     continue
-            code = None
             if flt.require_distance is not None:
-                code = build_gb(a, b)
-                res = min_distance(code, cap=flt.require_distance)
+                # the distance needs no logical basis; the LER screen does
+                res = min_distance(build_gb(a, b, with_logicals=False),
+                                   cap=flt.require_distance)
                 d = res.d
                 if d < flt.require_distance:
                     continue
@@ -82,8 +82,8 @@ def search_base_codes(flt: SearchFilter, seed: int = 0
             ler = None
             if flt.ler_screen is not None:
                 p, max_ler = flt.ler_screen
-                code = code or build_gb(a, b)
-                rep = estimate_ler(code, NoiseModel(p), DecoderConfig(),
+                rep = estimate_ler(build_gb(a, b), NoiseModel(p),
+                                   DecoderConfig(),
                                    trials=flt.screen_trials, seed=seed)
                 ler = rep.ler
                 if ler >= max_ler:

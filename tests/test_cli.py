@@ -167,6 +167,11 @@ BAD_ARGV = [
     (["sweep", "--base", "{code}", "--members", "1..x"] + SWEEP_GRID,
      EXIT_USAGE),
     (["sweep", "--members", "1..2"] + SWEEP_GRID, EXIT_USAGE),  # no base
+    # a step that is not positive would never end the grid
+    (["sweep", "--base", "{code}", "--members", "1..2"] + SWEEP_GRID[:4]
+     + ["--p-step", "0", "--trials", "10"], EXIT_USAGE),
+    (["sweep", "--base", "{code}", "--members", "1..2"] + SWEEP_GRID[:4]
+     + ["--p-step", "-0.01", "--trials", "10"], EXIT_USAGE),
     (["decode", "--code", "{code}", "--syndrome", "{syn}", "--p", "0"],
      EXIT_USAGE),
     (["distance", "--code", "{big}"], EXIT_BUDGET),

@@ -334,6 +334,60 @@ def test_osd_matches_per_candidate_reference(problem, mode, order):
     assert np.array_equal(got, osd_reference(H, s, soft, cfg))
 
 
+@st.composite
+def osd_stacks(draw):
+    """A random check matrix with a stack of reachable syndromes, each row
+    with its own kind of soft vector."""
+    m, n = draw(st.integers(1, 7)), draw(st.integers(1, 12))
+    density = draw(st.sampled_from([0.2, 0.5, 0.8]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    H = (rng.random((m, n)) < density).astype(np.uint8)
+    K = draw(st.integers(1, 6))
+    S = (rng.integers(0, 2, size=(K, n)) @ H.T) % 2
+    kinds = draw(st.lists(st.sampled_from(sorted(SOFT_VALUES)),
+                          min_size=K, max_size=K))
+    soft = np.array([rng.normal(size=n) if SOFT_VALUES[kind] is None
+                     else rng.choice(SOFT_VALUES[kind], n) for kind in kinds])
+    return H, S, soft
+
+
+def rounding_tie_stack():
+    """ROUNDING_TIE between ordinary rows on the same check matrix."""
+    H, s, soft = ROUNDING_TIE
+    rng = np.random.default_rng(76)
+    S = (rng.integers(0, 2, size=(4, H.shape[1])) @ H.T) % 2
+    S[2] = s
+    soft_stack = rng.normal(size=(4, H.shape[1]))
+    soft_stack[2] = soft
+    return H, S, soft_stack
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=osd_stacks(),
+       mode=st.sampled_from(["order0", "sweep", "always"]),
+       order=st.one_of(st.none(), st.integers(0, 12)))
+@example(problem=rounding_tie_stack(), mode="sweep", order=None)
+@example(problem=rounding_tie_stack(), mode="sweep", order=3)
+def test_osd_stack_matches_reference_row_by_row(problem, mode, order):
+    H, S, soft = problem
+    cfg = DecoderConfig(osd_mode=mode, osd_order=order)
+    out = osd_postprocess(H, S, soft, cfg)
+    assert out.estimate.shape == S.shape[:1] + H.shape[1:]
+    for i in range(len(S)):
+        assert np.array_equal(out.estimate[i],
+                              osd_reference(H, S[i], soft[i], cfg))
+
+
+def test_osd_stack_with_one_unreachable_row_raises():
+    H = np.array([[1, 1, 0], [1, 1, 0], [0, 1, 1]], dtype=np.uint8)
+    S = np.array([[0, 0, 1], [1, 1, 0], [1, 0, 0], [0, 0, 0]], np.uint8)
+    with pytest.raises(ValueError):
+        osd_postprocess(H, S, np.zeros((4, 3)), DecoderConfig())
+    # the reachable rows alone decode
+    out = osd_postprocess(H, S[[0, 1, 3]], np.zeros((3, 3)), DecoderConfig())
+    assert np.array_equal((out.estimate @ H.T) % 2, S[[0, 1, 3]])
+
+
 def test_decode_sector_falls_back_to_osd():
     code = make_code()
     rng = np.random.default_rng(75)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gbx.gf2mat import (as_gf2, circulant_from_poly, is_circulant, nullspace,
                         poly_from_circulant, rank_gf2, row_reduce)
@@ -23,6 +25,29 @@ def rank_oracle(M):
                 A[i] ^= A[rank]
         rank += 1
     return rank
+
+
+def rref_reference(M):
+    """Column-by-column elimination, the loop the int-mask row insertion of
+    `row_reduce` replaced: (rref, pivot columns)."""
+    A = as_gf2(M).copy()
+    rows, cols = A.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        hits = np.nonzero(A[r:, c])[0]
+        if hits.size == 0:
+            continue
+        piv = r + hits[0]
+        if piv != r:
+            A[[r, piv]] = A[[piv, r]]
+        elim = np.nonzero(A[:, c])[0]
+        A[elim[elim != r]] ^= A[r]
+        pivots.append(c)
+        r += 1
+    return A, pivots
 
 
 def test_as_gf2_masks_to_bits():
@@ -124,3 +149,31 @@ def test_row_basis_spans_input():
     B = R[:len(pivots)]
     assert B.shape == (2, 3)
     assert rank_gf2(np.vstack([A, B])) == 2
+
+
+@st.composite
+def gf2_matrices(draw):
+    """Up to 20 x 140 (more than two 64-bit words a row), empty shapes,
+    all-zero and all-one inputs, sparse and dense, with repeated rows."""
+    m, n = draw(st.integers(0, 20)), draw(st.integers(0, 140))
+    density = draw(st.sampled_from([0.0, 0.05, 0.3, 0.5, 0.9, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = (rng.random((m, n)) < density).astype(np.uint8)
+    if m > 1 and draw(st.booleans()):
+        A[rng.integers(0, m)] = A[rng.integers(0, m)]  # a dependent row
+    return A
+
+
+@settings(max_examples=300, deadline=None)
+@given(A=gf2_matrices())
+@example(A=np.zeros((0, 5), dtype=np.uint8))
+@example(A=np.zeros((4, 0), dtype=np.uint8))
+@example(A=np.zeros((0, 0), dtype=np.uint8))
+@example(A=np.zeros((6, 70), dtype=np.uint8))
+@example(A=np.ones((20, 140), dtype=np.uint8))
+def test_row_reduce_equals_column_reference(A):
+    R, pivots = row_reduce(A)
+    want, want_pivots = rref_reference(A)
+    assert pivots == want_pivots
+    assert R.dtype == want.dtype and R.shape == want.shape
+    assert np.array_equal(R, want)

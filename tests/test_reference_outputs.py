@@ -43,6 +43,11 @@ FAILURES = {
     (0.12, "always", None): 105, (0.12, "always", 2): 105,
 }
 
+# sha256 of the decode_batch estimates, see `decode_batch_digest`; recorded
+# with one osd_postprocess call per OSD row and per-column elimination
+DECODE_BATCH_DIGEST = (
+    "c4dbde69344d9c633ee350711c17afa112d4f386ce34e156b07bc037f5d5c25c")
+
 
 def base_pair():
     return (gbx.parse_ring_poly("1+x^4", 5),
@@ -106,3 +111,28 @@ def test_criterion_13_csv_is_pinned():
 
 def test_failure_counts_are_pinned():
     assert failure_counts() == FAILURES
+
+
+def decode_batch_digest() -> str:
+    """sha256 over the decode_batch estimates of both sectors, per point
+    and mode, for 1024 trials of each point i with seed (1, i)."""
+    members = gbx.extend_family(gbx.identity_plan(*base_pair(), 3))[1:]
+    points = [(code, p) for code in members for p in (0.10, 0.15)]
+    h = hashlib.sha256()
+    for i, (code, p) in enumerate(points):
+        noise = gbx.NoiseModel(p)
+        EX = np.empty((1024, code.n), dtype=np.uint8)
+        EZ = np.empty((1024, code.n), dtype=np.uint8)
+        for t in range(1024):
+            EX[t], EZ[t] = gbx.sample_error(
+                code.n, noise, gbx.simulator.trial_rng((1, i), t))
+        SZ, SX = (EX @ code.hz.T) % 2, (EZ @ code.hx.T) % 2
+        for mode in ("order0", "sweep", "always"):
+            cfg = gbx.DecoderConfig(osd_mode=mode).for_ring(code.ell)
+            for H, S in ((code.hz, SZ), (code.hx, SX)):
+                h.update(gbx.decode_batch(H, S, p, cfg).tobytes())
+    return h.hexdigest()
+
+
+def test_decode_batch_estimates_are_pinned():
+    assert decode_batch_digest() == DECODE_BATCH_DIGEST
