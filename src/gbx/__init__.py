@@ -13,9 +13,9 @@ from .extension import (ExtensionPlan, SparsityProfile, check_dim_lower_bound,
                         shor_check_matrices, shor_sparsity, sparsity_profile)
 from .gf2poly import (RingPoly, f2_degree, f2_gcd, f2_mul, f2_weight,
                       format_poly, geometric_sum, parse_poly, parse_ring_poly,
-                      poly_add, poly_mul, ring_reduce, x_pow_minus_one)
+                      ring_reduce, x_pow_minus_one)
 from .scalable import (ZeroInsertPlan, TripleBlockPlan, build_triple_family,
-                       build_insertion_family, f_insert, triple_extension_plan,
+                       build_insertion_family, triple_extension_plan,
                        verify_embedding)
 from .search import (SearchFilter, SearchHit, assemble_report,
                      breakeven_point, catalog, search_base_codes)

@@ -18,13 +18,14 @@ import numpy as np
 
 from .code import (build_gb, code_from_json, code_to_dict, code_to_json,
                    to_alist)
-from .decoder import DecoderConfig, decode
+from .decoder import OSD_MODES, DecoderConfig, decode
 from .distance import BudgetExceeded, min_distance
 from .extension import (ExtensionPlan, extend_family, identity_plan,
                         plan_from_json, plan_to_dict, sparsity_profile)
 from .gf2poly import parse_ring_poly
 from .scalable import (ZeroInsertPlan, TripleBlockPlan, build_triple_family,
-                       build_insertion_family, verify_embedding)
+                       build_insertion_family, triple_extension_plan,
+                       verify_embedding)
 from .search import (SearchFilter, assemble_report, catalog,
                      search_base_codes)
 from .simulator import (reports_from_csv, reports_to_csv, sweep)
@@ -54,7 +55,15 @@ def _family_json(family) -> str:
 
 
 def _bits(s: str) -> np.ndarray:
-    return np.array([int(ch) for ch in s.strip()], dtype=np.uint8)
+    if set(s) - {"0", "1"}:
+        raise ValueError(f"syndrome line {s!r} holds a character other than "
+                         "0 or 1")
+    return np.array([int(ch) for ch in s], dtype=np.uint8)
+
+
+def _decoder_config(args) -> DecoderConfig:
+    return DecoderConfig(max_iter=args.max_iter, ms_scale=args.ms_scale,
+                         osd_order=args.osd_order, osd_mode=args.osd_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -124,10 +133,7 @@ def _plan_from_args(args, members: int) -> ExtensionPlan:
     base = _load_code(args.base)
     if args.preset == "identity":
         return identity_plan(base.a, base.b, members)
-    if args.preset == "triple":
-        from .scalable import triple_extension_plan
-        return triple_extension_plan(base, members)
-    raise ValueError(f"unknown preset {args.preset!r}")
+    return triple_extension_plan(base, members)
 
 
 def cmd_extend(args) -> int:
@@ -153,7 +159,7 @@ def cmd_scale3(args) -> int:
     for small, large in zip(family, family[1:]):
         ok, witness = verify_embedding(small, large)
         certs.append({"small": small.label or small.n, "large": large.label,
-                      "embedded": ok, "witness": _jsonable(witness)})
+                      "embedded": ok, "witness": witness})
     _emit(_family_json(family), args.out)
     cert_path = args.cert or ((args.out or "scale3") + ".cert.json")
     with open(cert_path, "w") as fh:
@@ -166,14 +172,6 @@ def cmd_scale4(args) -> int:
     family = build_insertion_family(ZeroInsertPlan(base, args.levels, args.j, args.r))
     _emit(_family_json(family), args.out)
     return EXIT_OK
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
 
 
 def cmd_distance(args) -> int:
@@ -201,21 +199,19 @@ def cmd_decode(args) -> int:
               file=sys.stderr)
         return EXIT_IO
     s_x, s_z = _bits(lines[0]), _bits(lines[1])
-    cfg = DecoderConfig(max_iter=args.max_iter, ms_scale=args.ms_scale,
-                        osd_order=args.osd_order, osd_mode=args.osd_mode)
-    ex, ez = decode(code, s_x, s_z, args.p, cfg)
+    ex, ez = decode(code, s_x, s_z, args.p, _decoder_config(args))
     _emit("ex: " + "".join(map(str, ex.tolist())) + "\n"
           "ez: " + "".join(map(str, ez.tolist())), args.out)
     return EXIT_OK
 
 
-def _parse_members(spec: str, count: int) -> list:
+def _parse_members(spec: str) -> list:
     if ".." in spec:
         lo, hi = spec.split("..")
         idx = list(range(int(lo), int(hi) + 1))
     else:
         idx = [int(t) for t in spec.split(",")]
-    if any(i < 1 or i > count for i in idx):
+    if min(idx, default=0) < 1:
         raise ValueError("member index out of range")
     return idx
 
@@ -223,22 +219,17 @@ def _parse_members(spec: str, count: int) -> list:
 def cmd_sweep(args) -> int:
     if not (math.isfinite(args.p_step) and args.p_step > 0):
         raise ValueError("--p-step must be positive and finite")
-    if ".." in args.members:
-        top = int(args.members.split("..")[1])
-    else:
-        top = max(int(t) for t in args.members.split(","))
-    plan = _plan_from_args(args, top)
-    family = extend_family(plan)
-    members = _parse_members(args.members, len(family))
+    members = _parse_members(args.members)
+    family = extend_family(_plan_from_args(args, max(members)))
+    if max(members) > len(family):  # a --plan file fixes the family size
+        raise ValueError("member index out of range")
     family = [family[i - 1] for i in members]
     grid = []
     p = args.p_min
     while p <= args.p_max + 1e-12:
         grid.append(round(p, 12))
         p += args.p_step
-    cfg = DecoderConfig(max_iter=args.max_iter, ms_scale=args.ms_scale,
-                        osd_order=args.osd_order, osd_mode=args.osd_mode)
-    reports = sweep(family, grid, cfg, trials=args.trials,
+    reports = sweep(family, grid, _decoder_config(args), trials=args.trials,
                     precision=args.precision, seed=args.seed,
                     threads=args.threads)
     _emit(reports_to_csv(reports), args.out)
@@ -279,11 +270,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=["json", "csv", "text"],
-                       default="text")
+
+    def decoder_args(p):
+        d = DecoderConfig()
+        p.add_argument("--max-iter", type=int, default=d.max_iter)
+        p.add_argument("--ms-scale", type=float, default=d.ms_scale)
+        p.add_argument("--osd-order", type=int, default=d.osd_order)
+        p.add_argument("--osd-mode", default=d.osd_mode, choices=OSD_MODES)
 
     p = sub.add_parser("build", help="construct a GB code from generators")
     common(p)
@@ -298,10 +292,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("catalog", help="list the bundled base codes")
     common(p)
+    p.add_argument("--format", choices=["json", "csv", "text"],
+                   default="text")
     p.set_defaults(func=cmd_catalog)
 
     p = sub.add_parser("search", help="exhaustive base-code search")
     common(p)
+    p.add_argument("--format", choices=["json", "text"], default="text")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--max-weight", type=int, default=8)
     p.add_argument("--allow-zero-dim", action="store_true")
@@ -350,11 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--code", required=True)
     p.add_argument("--syndrome", required=True)
     p.add_argument("--p", type=float, default=0.01)
-    p.add_argument("--max-iter", type=int, default=40)
-    p.add_argument("--ms-scale", type=float, default=0.625)
-    p.add_argument("--osd-order", type=int, default=None)
-    p.add_argument("--osd-mode", default="sweep",
-                   choices=["off", "order0", "sweep", "always"])
+    decoder_args(p)
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("sweep", help="Monte Carlo LER sweep over a family")
@@ -367,11 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-step", type=float, required=True)
     p.add_argument("--trials", type=int, default=50_000)
     p.add_argument("--precision", type=float, default=1e-3)
-    p.add_argument("--max-iter", type=int, default=40)
-    p.add_argument("--ms-scale", type=float, default=0.625)
-    p.add_argument("--osd-order", type=int, default=None)
-    p.add_argument("--osd-mode", default="sweep",
-                   choices=["off", "order0", "sweep", "always"])
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes, at most one per point")
+    decoder_args(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("report", help="merge sweep CSVs and annotate")

@@ -20,14 +20,27 @@ import numpy as np
 from .gf2mat import row_reduce
 
 LLR_CAP = 1e9  # stands in for +inf on degree-1 checks
+OSD_MODES = ("off", "order0", "sweep", "always")
 
 
 @dataclass
 class DecoderConfig:
+    """Min-sum and OSD settings.
+
+    ``osd_mode`` selects the post-processing of a BP run:
+
+    * ``off``: no OSD; BP's hard decision is the estimate;
+    * ``order0``: order-0 OSD on every syndrome BP does not satisfy;
+    * ``sweep``: as order0, plus the weight-1 and weight-2 flips within the
+      first ``osd_order`` secondary columns (OSD-CS);
+    * ``always``: order-0 OSD on every distinct syndrome, converged ones
+      included.
+    """
+
     max_iter: int = 40
     ms_scale: float = 0.625
     osd_order: int | None = None  # None -> resolved to the code's ring size
-    osd_mode: str = "sweep"  # off | order0 | sweep | always
+    osd_mode: str = "sweep"
 
     def __post_init__(self):
         if not 0 < self.ms_scale <= 1:
@@ -36,7 +49,7 @@ class DecoderConfig:
             raise ValueError("max_iter must be at least 1")
         if self.osd_order is not None and self.osd_order < 0:
             raise ValueError("osd_order must be non-negative")
-        if self.osd_mode not in ("off", "order0", "sweep", "always"):
+        if self.osd_mode not in OSD_MODES:
             raise ValueError(f"unknown osd_mode {self.osd_mode!r}")
 
     def for_ring(self, ell: int) -> "DecoderConfig":
@@ -49,10 +62,6 @@ class DecoderConfig:
 @dataclass
 class DecodeOutcome:
     estimate: np.ndarray
-    soft: np.ndarray  # marginal LLR per bit
-    bp_converged: bool
-    osd_used: bool
-    iterations: int
 
 
 def _prior_llr(prior, n: int) -> np.ndarray:
@@ -185,9 +194,7 @@ def osd_postprocess(H, syndrome, soft, cfg: DecoderConfig) -> DecodeOutcome:
     if llr.shape != (K, n):
         raise ValueError("soft reliabilities required for every bit")
     if K == 0:
-        return DecodeOutcome(estimate=np.zeros((0, n), dtype=np.uint8),
-                             soft=llr, bp_converged=False, osd_used=True,
-                             iterations=0)
+        return DecodeOutcome(estimate=np.zeros((0, n), dtype=np.uint8))
 
     col = np.arange(K)[:, None]  # row index, broadcast along columns
     order = np.argsort(llr, axis=1, kind="stable")  # most error-prone first
@@ -262,10 +269,7 @@ def osd_postprocess(H, syndrome, soft, cfg: DecoderConfig) -> DecodeOutcome:
     estimate[col, order] = E
     if (((estimate @ H.T) & 1) != S).any():
         raise AssertionError("OSD produced a non-satisfying estimate")
-    if single:
-        estimate, llr = estimate[0], llr[0]
-    return DecodeOutcome(estimate=estimate, soft=llr, bp_converged=False,
-                         osd_used=True, iterations=0)
+    return DecodeOutcome(estimate=estimate[0] if single else estimate)
 
 
 def _candidate_flips(n, piv, f1, f2, bits) -> np.ndarray:

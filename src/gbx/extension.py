@@ -155,8 +155,7 @@ def sparsity_profile(family: list) -> SparsityProfile:
     q_r, q_c, members = [], [], []
     for code in family:
         wp = weight_profile(code)
-        H = code.full_h()
-        if (H.sum(axis=1) == 0).any() or (H.sum(axis=0) == 0).any():
+        if 0 in wp.per_row or 0 in wp.per_col:
             raise ValueError("parity-check matrix has an all-zero row or column")
         q_r.append(Fraction(wp.w_r, code.n))
         q_c.append(Fraction(wp.w_c, code.ell))

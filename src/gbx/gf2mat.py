@@ -45,28 +45,6 @@ def circulant_from_poly(p: RingPoly) -> np.ndarray:
     return c[idx]
 
 
-def is_circulant(M: np.ndarray) -> bool:
-    A = as_gf2(M)
-    n, m = A.shape
-    if n != m:
-        return False
-    first = A[:, 0]
-    for j in range(1, m):
-        if not np.array_equal(A[:, j], np.roll(first, j)):
-            return False
-    return True
-
-
-def poly_from_circulant(M) -> RingPoly:
-    """Inverse of :func:`circulant_from_poly`; rejects non-circulant input."""
-    A = as_gf2(M)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError("matrix is not square")
-    if not is_circulant(A):
-        raise ValueError("matrix is not circulant")
-    return RingPoly(row_masks(A[:, :1].T)[0], A.shape[0])
-
-
 def row_reduce(M) -> tuple[np.ndarray, list]:
     """Reduced row-echelon form over GF(2); returns (rref, pivot columns).
 

@@ -113,20 +113,6 @@ class RingPoly:
     def from_mask(cls, mask: int, ring_dim: int) -> "RingPoly":
         return cls(mask, ring_dim)
 
-    # -- views -------------------------------------------------------------
-
-    @property
-    def degree(self):
-        return f2_degree(self.mask)
-
-    @property
-    def weight(self) -> int:
-        return f2_weight(self.mask)
-
-    def lift(self, ring_dim: int) -> "RingPoly":
-        """Reinterpret in a (usually larger) ring, reducing mod x^l - 1."""
-        return RingPoly.from_mask(ring_reduce(self.mask, ring_dim), ring_dim)
-
     def __str__(self) -> str:
         return format_poly(self.mask)
 
@@ -139,21 +125,6 @@ def ring_reduce(mask: int, ring_dim: int) -> int:
         out ^= mask & ((1 << ring_dim) - 1)
         mask >>= ring_dim
     return out
-
-
-def poly_add(u: RingPoly, v: RingPoly) -> RingPoly:
-    """Coefficient-wise XOR of two elements of the same ring."""
-    if u.ring_dim != v.ring_dim:
-        raise ValueError("ring dimension mismatch")
-    return RingPoly.from_mask(u.mask ^ v.mask, u.ring_dim)
-
-
-def poly_mul(u: RingPoly, v: RingPoly) -> RingPoly:
-    """Product in F2[x]/(x^l - 1): convolution with exponents taken mod l."""
-    if u.ring_dim != v.ring_dim:
-        raise ValueError("ring dimension mismatch")
-    return RingPoly.from_mask(ring_reduce(f2_mul(u.mask, v.mask), u.ring_dim),
-                              u.ring_dim)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ import numpy as np
 
 from .code import CssCode, build_gb
 from .extension import ExtensionPlan, extend_family
-from .gf2mat import circulant_from_poly, poly_from_circulant
 from .gf2poly import RingPoly, f2_mul
 
 # Constructive block-column relabellings (1-based, old position -> new
@@ -132,18 +131,9 @@ def verify_embedding(small: CssCode, large: CssCode) -> tuple[bool, dict]:
 def _widen(poly: RingPoly, j: int, r: int) -> RingPoly:
     """Split the generator as f + g (f below x^j, g at or above) and return
     f + x^r g in the (l + r)-dimensional ring. Weight is preserved."""
-    if not 0 < j < poly.ring_dim - 1:
-        raise ValueError("split index j out of range")
-    if r < 1:
-        raise ValueError("insertion width r must be positive")
     f = poly.mask & ((1 << j) - 1)
     g = poly.mask >> j
     return RingPoly.from_mask(f | (g << (j + r)), poly.ring_dim + r)
-
-
-def f_insert(C, j: int, r: int) -> np.ndarray:
-    """Widen a circulant by r zeros at split index j (see :func:`_widen`)."""
-    return circulant_from_poly(_widen(poly_from_circulant(C), j, r))
 
 
 def build_insertion_family(plan: ZeroInsertPlan, with_logicals: bool = True) -> list:

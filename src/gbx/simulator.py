@@ -100,12 +100,15 @@ def sample_error(n: int, noise: NoiseModel, rng: np.random.Generator):
     return ex, ez
 
 
-def classify_failure(code: CssCode, rx: np.ndarray, rz: np.ndarray) -> bool:
+def classify_failure(code: CssCode, rx: np.ndarray, rz: np.ndarray):
     """A residual is a logical failure iff it pairs nontrivially with the
-    opposite-type logical basis."""
+    opposite-type logical basis. Takes one residual pair and returns a bool,
+    or (B, n) stacks and returns a (B,) boolean array."""
     if code.lx is None or code.lz is None:
         raise ValueError("code needs a populated logical basis")
-    return bool(((code.lz @ rx) % 2).any() or ((code.lx @ rz) % 2).any())
+    fail = (((rx @ code.lz.T) % 2).any(axis=-1)
+            | ((rz @ code.lx.T) % 2).any(axis=-1))
+    return bool(fail) if fail.ndim == 0 else fail
 
 
 def _decoder_prior(p: float) -> float:
@@ -127,11 +130,7 @@ def _run_batch(code: CssCode, noise: NoiseModel, cfg: DecoderConfig,
     p_dec = _decoder_prior(noise.p)
     EX_hat = decode_batch(code.hz, SZ, p_dec, cfg)
     EZ_hat = decode_batch(code.hx, SX, p_dec, cfg)
-    RX = EX ^ EX_hat
-    RZ = EZ ^ EZ_hat
-    fail = (((RX @ code.lz.T) % 2).any(axis=1)
-            | ((RZ @ code.lx.T) % 2).any(axis=1))
-    return int(fail.sum())
+    return int(classify_failure(code, EX ^ EX_hat, EZ ^ EZ_hat).sum())
 
 
 def estimate_ler(code: CssCode, noise: NoiseModel, cfg: DecoderConfig,
@@ -184,13 +183,19 @@ def sweep(family: list, p_grid: list, cfg: DecoderConfig, trials: int,
           precision: float = 1e-3, seed: int = 0, threads: int = 1,
           pauli_split=(1 / 3, 1 / 3, 1 / 3)) -> list:
     """Cartesian product of members and grid points; each point gets its own
-    deterministic seed tuple, so threading never changes the result."""
+    deterministic seed tuple, so threading never changes the result. The
+    points run in min(threads, points) worker processes, or serially when
+    that is 1; the cap matters because a pool starts all of its workers at
+    the first submit."""
     if not family or not p_grid:
         raise ValueError("need a nonempty family and grid")
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     jobs = [(code, float(p), tuple(pauli_split), cfg, trials, precision,
              (seed, mi, pi))
             for mi, code in enumerate(family)
             for pi, p in enumerate(p_grid)]
+    threads = min(threads, len(jobs))
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(_sweep_point, jobs))

@@ -179,6 +179,13 @@ BAD_ARGV = [
     (["distance", "--code", "{syn}"], EXIT_IO),  # not a JSON artifact
     (["distance", "--code", "{empty}"], EXIT_IO),  # {}: no field at all
     (["distance", "--code", "{no_b}"], EXIT_IO),  # lacks "b"
+    (["sweep", "--threads", "0", "--base", "{code}"] + SWEEP_GRID,
+     EXIT_USAGE),
+    # a digit other than 0 or 1 is not read modulo 2
+    (["decode", "--syndrome", "{digit2}", "--code", "{code}"], EXIT_USAGE),
+    # flags act only on the subcommands that read them
+    (["distance", "--threads", "8", "--code", "{code}"], EXIT_USAGE),
+    (["search", "--format", "csv", "--ell", "3"], EXIT_USAGE),
 ]
 
 
@@ -194,12 +201,15 @@ def test_bad_input_gives_one_error_line_and_exit_code(tmp_path, capsys,
         TripleBlockPlan(base, 3), with_logicals=False)[2]))
     syn = tmp_path / "syn.txt"
     syn.write_text("00000\n01100\n")
+    digit2 = tmp_path / "digit2.txt"
+    digit2.write_text("00000\n00200\n")
     empty = tmp_path / "empty.json"
     empty.write_text("{}")
     no_b = tmp_path / "no_b.json"
     no_b.write_text('{"ell": 5, "a": "1+x^4"}')
     paths = {"{code}": code, "{syn}": syn, "{big}": big, "{empty}": empty,
-             "{no_b}": no_b, "{missing}": tmp_path / "missing.json"}
+             "{no_b}": no_b, "{digit2}": digit2,
+             "{missing}": tmp_path / "missing.json"}
     capsys.readouterr()
     rc = main([str(paths.get(a, a)) for a in argv])
     err = capsys.readouterr().err

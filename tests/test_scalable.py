@@ -10,11 +10,11 @@ import pytest
 
 from gbx.code import build_gb, weight_profile
 from gbx.extension import extend_family
-from gbx.gf2mat import as_gf2, circulant_from_poly, poly_from_circulant
-from gbx.gf2poly import RingPoly, parse_ring_poly, poly_mul
+from gbx.gf2mat import as_gf2, circulant_from_poly
+from gbx.gf2poly import RingPoly, f2_mul, parse_ring_poly, ring_reduce
 from gbx.scalable import (ZeroInsertPlan, TripleBlockPlan, build_triple_family,
-                          build_insertion_family, f_insert,
-                          triple_extension_plan, verify_embedding)
+                          build_insertion_family, triple_extension_plan,
+                          verify_embedding)
 
 
 def base_code():
@@ -62,19 +62,13 @@ def f_triple(C) -> np.ndarray:
     return block_compose([[L, U, A], [A, L, U], [U, A, L]])
 
 
-def triple_family_by_matrices(base, M):
-    """Apply f_triple to both circulant blocks level by level."""
-    family = [base]
-    A = circulant_from_poly(base.a)
-    B = circulant_from_poly(base.b)
-    for m in range(2, M + 1):
-        A = f_triple(A)
-        B = f_triple(B)
-        a = poly_from_circulant(A)
-        b = poly_from_circulant(B)
-        family.append(build_gb(a, b, label=f"scale3 m={m},l={a.ring_dim}",
-                               with_logicals=False))
-    return family
+def triple_blocks_by_matrices(base, M):
+    """Apply f_triple to both circulant blocks level by level: the (A, B)
+    circulants of members 1..M."""
+    blocks = [(circulant_from_poly(base.a), circulant_from_poly(base.b))]
+    for _ in range(2, M + 1):
+        blocks.append(tuple(f_triple(C) for C in blocks[-1]))
+    return blocks
 
 
 def test_triangular_split_reconstructs():
@@ -108,9 +102,9 @@ def test_f_triple_is_multiplication_by_one_plus_xl():
         c = RingPoly.from_mask(int(rng.integers(1, 1 << ell)), ell)
         big = f_triple(circulant_from_poly(c))
         assert big.shape == (3 * ell, 3 * ell)
-        expect = poly_mul(c.lift(3 * ell),
-                          parse_ring_poly(f"1+x^{ell}", 3 * ell))
-        assert np.array_equal(big, circulant_from_poly(expect))
+        expect = ring_reduce(f2_mul(c.mask, (1 << ell) | 1), 3 * ell)
+        assert np.array_equal(big,
+                              circulant_from_poly(RingPoly(expect, 3 * ell)))
     with pytest.raises(ValueError):
         f_triple(np.zeros((2, 3), dtype=np.uint8))
 
@@ -152,13 +146,13 @@ def test_triple_family_matches_matrix_map():
     for base in bases:
         fam = build_triple_family(TripleBlockPlan(base, 4),
                                   with_logicals=False)
-        ref = triple_family_by_matrices(base, 4)
+        ref = triple_blocks_by_matrices(base, 4)
         assert fam[0] is base
-        for x, y in zip(fam, ref):
-            assert x.label == y.label
-            assert x.a == y.a and x.b == y.b
-            assert np.array_equal(x.hx, y.hx)
-            assert np.array_equal(x.hz, y.hz)
+        assert len(fam) == len(ref)
+        for m, (x, (A, B)) in enumerate(zip(fam, ref), start=1):
+            assert m == 1 or x.label == f"scale3 m={m},l={x.ell}"
+            assert np.array_equal(circulant_from_poly(x.a), A)
+            assert np.array_equal(circulant_from_poly(x.b), B)
 
 
 def test_embedding_identity_and_failure_cases():
@@ -178,25 +172,19 @@ def test_embedding_identity_and_failure_cases():
     assert not ok and "mismatch" in witness
 
 
-def test_f_insert_examples():
+def test_insertion_family_generator_examples():
     # 1 + x split at j=1 with r=1 becomes 1 + x^2 in the 4-ring
-    C = circulant_from_poly(parse_ring_poly("1+x", 3))
-    out = f_insert(C, 1, 1)
-    assert poly_from_circulant(out) == parse_ring_poly("1+x^2", 4)
-    # 1 + x + x^3 split at j=2 with r=2 becomes 1 + x + x^5
-    C = circulant_from_poly(parse_ring_poly("1+x+x^3", 5))
-    out = f_insert(C, 2, 2)
-    assert poly_from_circulant(out) == parse_ring_poly("1+x+x^5", 7)
-
-
-def test_f_insert_validation():
-    C = circulant_from_poly(parse_ring_poly("1+x", 4))
-    with pytest.raises(ValueError):
-        f_insert(C, 0, 1)
-    with pytest.raises(ValueError):
-        f_insert(C, 3, 1)
-    with pytest.raises(ValueError):
-        f_insert(C, 1, 0)
+    base = build_gb(parse_ring_poly("1+x", 3), parse_ring_poly("1", 3))
+    fam = build_insertion_family(ZeroInsertPlan(base, 2, j=1, r=1))
+    assert fam[1].a == parse_ring_poly("1+x^2", 4)
+    assert fam[1].b == parse_ring_poly("1", 4)
+    # 1 + x + x^3 split at j=2 with r=2 becomes 1 + x + x^5, and with
+    # r = 2 * 2 at member 3 becomes 1 + x + x^7
+    base = build_gb(parse_ring_poly("1+x+x^3", 5), parse_ring_poly("x^2", 5))
+    fam = build_insertion_family(ZeroInsertPlan(base, 3, j=2, r=2))
+    assert fam[1].a == parse_ring_poly("1+x+x^5", 7)
+    assert fam[2].a == parse_ring_poly("1+x+x^7", 9)
+    assert fam[2].b == parse_ring_poly("x^6", 9)
 
 
 def test_insertion_family_preserves_weights():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gbx import simulator
 from gbx.code import build_gb
 from gbx.decoder import DecoderConfig, decode
 from gbx.extension import extend_family, identity_plan
@@ -90,6 +91,16 @@ def test_classify_failure():
     assert classify_failure(code, zero, code.lz[0])
     # a stabilizer row is harmless
     assert not classify_failure(code, code.hx[0, :], zero)
+    # (B, n) stacks give one verdict per row
+    rng = np.random.default_rng(84)
+    RX = rng.integers(0, 2, size=(40, code.n), dtype=np.uint8)
+    RZ = rng.integers(0, 2, size=(40, code.n), dtype=np.uint8)
+    RX[0] = RZ[0] = 0
+    verdicts = classify_failure(code, RX, RZ)
+    assert verdicts.shape == (40,) and verdicts.dtype == bool
+    assert verdicts.tolist() == [classify_failure(code, rx, rz)
+                                 for rx, rz in zip(RX, RZ)]
+    assert 0 < verdicts.sum() < 40
 
 
 def test_run_trial_zero_noise_never_fails():
@@ -182,6 +193,41 @@ def test_sweep_csv_ignores_thread_count():
     pooled = sweep(*args, trials=300, seed=21, threads=2)
     assert reports_to_csv(pooled) == reports_to_csv(serial)
     assert [r.n for r in serial] == [10, 10, 20, 20]
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts no
+    process and maps in this one."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+def test_sweep_starts_at_most_one_worker_per_point(monkeypatch):
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    code = make_code()
+    cfg = DecoderConfig()
+    serial = reports_to_csv(sweep([code], [0.05], cfg, trials=50, seed=3))
+    for threads, grid in ((64, [0.05, 0.08, 0.1]), (2, [0.05, 0.08, 0.1]),
+                          (64, [0.05])):
+        out = sweep([code], grid, cfg, trials=50, seed=3, threads=threads)
+        assert reports_to_csv(out[:1]) == serial
+    assert RecordingPool.sizes == [3, 2]  # one point runs without a pool
+    for threads in (0, -1):
+        with pytest.raises(ValueError):
+            sweep([code], [0.05], cfg, trials=50, threads=threads)
 
 
 def test_csv_roundtrip():

@@ -1,0 +1,108 @@
+"""The public surface has callers: no exported name or CLI option is dead.
+
+A name in ``gbx.__all__`` must be referenced somewhere in the package other
+than its own definition and import lines, or in the benchmark harness; a
+CLI option must be read by its subcommand's handler.
+"""
+
+import argparse
+import ast
+import inspect
+from pathlib import Path
+
+import gbx
+from gbx.cli import build_parser
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "gbx"
+
+# Paper-reproduction checks that only the acceptance suite calls: the
+# generalized-Shor sparsity reference and the dimension bounds of the
+# extension family.
+ACCEPTANCE_ONLY = {"shor_sparsity", "shor_check_matrices",
+                   "check_dim_lower_bound", "dim_exact_coprime"}
+
+
+class References(ast.NodeVisitor):
+    """Names read as variables or attributes, except a function's or
+    class's mentions of itself inside its own body. Imports, definitions
+    and assignments bind names without reading them, so they never count."""
+
+    def __init__(self):
+        self.names = set()
+        self.enclosing = []
+
+    def _scope(self, node):
+        self.enclosing.append(node.name)
+        self.generic_visit(node)
+        self.enclosing.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _scope
+
+    def _read(self, node, name):
+        if isinstance(node.ctx, ast.Load) and name not in self.enclosing:
+            self.names.add(name)
+
+    def visit_Name(self, node):
+        self._read(node, node.id)
+
+    def visit_Attribute(self, node):
+        self._read(node, node.attr)
+        self.generic_visit(node)
+
+
+def referenced_names() -> set:
+    refs = References()
+    for path in sorted(SRC.glob("*.py")) + sorted(
+            (ROOT / "benchmarks").glob("*.py")):
+        refs.visit(ast.parse(path.read_text(), filename=str(path)))
+    return refs.names
+
+
+def test_every_exported_name_has_a_caller():
+    exported = {name for name in gbx.__all__
+                if not inspect.ismodule(getattr(gbx, name))}
+    assert ACCEPTANCE_ONLY <= exported
+    dead = exported - referenced_names() - ACCEPTANCE_ONLY
+    assert not dead, f"exported but never called: {sorted(dead)}"
+
+
+def handler_reads() -> dict:
+    """Function name in cli.py -> the ``args`` attributes it reads, itself
+    or through the functions it passes ``args`` to."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    own, passes = {}, {}
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        nodes = list(ast.walk(fn))
+        own[fn.name] = {n.attr for n in nodes
+                        if isinstance(n, ast.Attribute)
+                        and isinstance(n.value, ast.Name)
+                        and n.value.id == "args"}
+        passes[fn.name] = {n.func.id for n in nodes
+                           if isinstance(n, ast.Call)
+                           and isinstance(n.func, ast.Name)
+                           and any(isinstance(a, ast.Name) and a.id == "args"
+                                   for a in n.args)}
+
+    def reads(name, seen):
+        out = set(own[name])
+        for callee in (passes[name] & own.keys()) - seen:
+            out |= reads(callee, seen | {name})
+        return out
+
+    return {name: reads(name, {name}) for name in own}
+
+
+def test_every_cli_option_is_read_by_its_handler():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    reads = handler_reads()
+    unread = [(cmd, action.dest)
+              for cmd, parser in sub.choices.items()
+              for action in parser._actions
+              if not isinstance(action, argparse._HelpAction)
+              and action.dest
+              not in reads[parser.get_default("func").__name__]]
+    assert not unread, f"options their subcommand never reads: {unread}"
