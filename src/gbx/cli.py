@@ -2,9 +2,10 @@
 
 Subcommands: search, build, extend, scale3, scale4, distance, decode,
 sweep, report, catalog. Exit codes: 0 success, 2 empty filter result,
-3 enumeration budget exceeded, 4 artifact I/O failure or missing artifact
-field, 5 usage error (a malformed command line or an invalid argument
-value). Every error prints one ``error:`` line to stderr.
+3 enumeration budget exceeded, 4 an artifact that cannot be read, parsed or
+validated (or an output that cannot be written), 5 usage error (a malformed
+command line or an invalid argument value). Every error prints one
+``error:`` line to stderr, from :func:`main`.
 """
 
 from __future__ import annotations
@@ -45,9 +46,21 @@ def _emit(text: str, out_path):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _load_code(path):
+class _ArtifactError(Exception):
+    """An input file whose content cannot be parsed or fails validation."""
+
+
+def _read(path, parse):
+    """parse(text of the file at `path`), naming the file in any parse
+    error; an OSError from opening it passes through."""
     with open(path) as fh:
-        return code_from_json(fh.read())
+        text = fh.read()
+    try:
+        return parse(text)
+    except KeyError as exc:
+        raise _ArtifactError(f"{path}: artifact lacks {exc.args[0]}") from None
+    except (ValueError, TypeError, AttributeError, IndexError) as exc:
+        raise _ArtifactError(f"{path}: {exc}") from None
 
 
 def _family_json(family) -> str:
@@ -59,6 +72,13 @@ def _bits(s: str) -> np.ndarray:
         raise ValueError(f"syndrome line {s!r} holds a character other than "
                          "0 or 1")
     return np.array([int(ch) for ch in s], dtype=np.uint8)
+
+
+def _syndrome_lines(text: str) -> list:
+    lines = [ln.strip() for ln in text.split("\n") if ln.strip()]
+    if len(lines) != 2:
+        raise ValueError("syndrome file needs two lines (X-sector, Z-sector)")
+    return lines
 
 
 def _decoder_config(args) -> DecoderConfig:
@@ -103,7 +123,6 @@ def cmd_search(args) -> int:
         p, max_ler = args.ler_screen.split(":")
         ler_screen = (float(p), float(max_ler))
     flt = SearchFilter(ell=args.ell, max_weight=args.max_weight,
-                       require_dim=not args.allow_zero_dim,
                        require_distance=args.min_distance,
                        ler_screen=ler_screen,
                        screen_trials=args.trials)
@@ -126,11 +145,10 @@ def cmd_search(args) -> int:
 
 def _plan_from_args(args, members: int) -> ExtensionPlan:
     if args.plan:
-        with open(args.plan) as fh:
-            return plan_from_json(fh.read())
+        return _read(args.plan, plan_from_json)
     if not args.base:
         raise ValueError("need --plan or --base")
-    base = _load_code(args.base)
+    base = _read(args.base, code_from_json)
     if args.preset == "identity":
         return identity_plan(base.a, base.b, members)
     return triple_extension_plan(base, members)
@@ -153,7 +171,7 @@ def cmd_extend(args) -> int:
 
 
 def cmd_scale3(args) -> int:
-    base = _load_code(args.base)
+    base = _read(args.base, code_from_json)
     family = build_triple_family(TripleBlockPlan(base, args.levels))
     certs = []
     for small, large in zip(family, family[1:]):
@@ -161,21 +179,22 @@ def cmd_scale3(args) -> int:
         certs.append({"small": small.label or small.n, "large": large.label,
                       "embedded": ok, "witness": witness})
     _emit(_family_json(family), args.out)
-    cert_path = args.cert or ((args.out or "scale3") + ".cert.json")
-    with open(cert_path, "w") as fh:
-        json.dump(certs, fh, indent=2)
+    cert_path = args.cert or (args.out and args.out + ".cert.json")
+    if cert_path:  # with neither --cert nor --out, no certificate is written
+        with open(cert_path, "w") as fh:
+            json.dump(certs, fh, indent=2)
     return EXIT_OK
 
 
 def cmd_scale4(args) -> int:
-    base = _load_code(args.base)
+    base = _read(args.base, code_from_json)
     family = build_insertion_family(ZeroInsertPlan(base, args.levels, args.j, args.r))
     _emit(_family_json(family), args.out)
     return EXIT_OK
 
 
 def cmd_distance(args) -> int:
-    code = _load_code(args.code)
+    code = _read(args.code, code_from_json)
     res = min_distance(code, cap=args.cap)
     n = code.n
     sympl = np.zeros(2 * n, dtype=np.uint8)
@@ -191,14 +210,9 @@ def cmd_distance(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    code = _load_code(args.code)
-    with open(args.syndrome) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if len(lines) != 2:
-        print("error: syndrome file needs two lines (X-sector, Z-sector)",
-              file=sys.stderr)
-        return EXIT_IO
-    s_x, s_z = _bits(lines[0]), _bits(lines[1])
+    code = _read(args.code, code_from_json)
+    lines = _read(args.syndrome, _syndrome_lines)
+    s_x, s_z = _bits(lines[0]), _bits(lines[1])  # a bad digit: usage error
     ex, ez = decode(code, s_x, s_z, args.p, _decoder_config(args))
     _emit("ex: " + "".join(map(str, ex.tolist())) + "\n"
           "ez: " + "".join(map(str, ez.tolist())), args.out)
@@ -237,17 +251,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    reports = []
-    try:
-        for path in args.csvs:
-            with open(path) as fh:
-                reports.extend(reports_from_csv(fh.read()))
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    reports = [r for path in args.csvs for r in _read(path, reports_from_csv)]
     if not reports:
-        print("error: no rows in the supplied artifacts", file=sys.stderr)
-        return EXIT_IO
+        raise _ArtifactError("no rows in the supplied artifacts")
     doc = assemble_report(reports)
     lines = ["code_label breakeven_PER"]
     for label in doc["labels"]:
@@ -302,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--max-weight", type=int, default=8)
-    p.add_argument("--allow-zero-dim", action="store_true")
     p.add_argument("--min-distance", type=int, default=None)
     p.add_argument("--ler-screen", default=None, metavar="P:MAX_LER")
     p.add_argument("--trials", type=int, default=10_000)
@@ -326,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", required=True)
     p.add_argument("--levels", type=int, default=3)
     p.add_argument("--cert", default=None,
-                   help="embedding-certificate output path")
+                   help="embedding-certificate output path "
+                   "(default: OUT.cert.json beside --out, else none)")
     p.set_defaults(func=cmd_scale3)
 
     p = sub.add_parser("scale4", help="zero-insertion scalable family")
@@ -385,9 +391,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except BudgetExceeded as exc:
         return _fail(exc, EXIT_BUDGET)
-    except KeyError as exc:  # artifact without a required field
-        return _fail(f"artifact lacks {exc.args[0]}", EXIT_IO)
-    except (OSError, json.JSONDecodeError) as exc:  # unreadable artifact
+    except (_ArtifactError, OSError) as exc:
         return _fail(exc, EXIT_IO)
     except ValueError as exc:
         return _fail(exc, EXIT_USAGE)

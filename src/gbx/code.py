@@ -42,14 +42,6 @@ class CssCode:
     lz: np.ndarray | None = None
     label: str = ""
 
-    def full_h(self) -> np.ndarray:
-        """Block-diagonal (2l x 2n) matrix diag(H_X, H_Z)."""
-        ell2, n2 = self.hx.shape
-        H = np.zeros((2 * ell2, 2 * n2), dtype=np.uint8)
-        H[:ell2, :n2] = self.hx
-        H[ell2:, n2:] = self.hz
-        return H
-
 
 def dimension_gcd(a: RingPoly, b: RingPoly) -> int:
     """k = 2 deg gcd(a, b, x^l - 1), computed over plain F2[x]."""
@@ -57,9 +49,7 @@ def dimension_gcd(a: RingPoly, b: RingPoly) -> int:
         raise ValueError("ring dimension mismatch")
     if a.mask == 0 and b.mask == 0:
         raise ValueError("generators must not both be zero")
-    g = f2_gcd(a.mask, b.mask, x_pow_minus_one(a.ring_dim))
-    deg = f2_degree(g)
-    return 2 * int(deg) if deg > 0 else 0
+    return 2 * f2_degree(f2_gcd(a.mask, b.mask, x_pow_minus_one(a.ring_dim)))
 
 
 def dimension_rank(code: CssCode) -> int:
@@ -125,9 +115,8 @@ def logical_basis(code: CssCode) -> tuple[np.ndarray, np.ndarray]:
 
 
 def weight_profile(code: CssCode) -> WeightProfile:
-    H = code.full_h()
-    per_row = H.sum(axis=1).astype(int).tolist()
-    per_col = H.sum(axis=0).astype(int).tolist()
+    per_row = [int(w) for h in (code.hx, code.hz) for w in h.sum(axis=1)]
+    per_col = [int(w) for h in (code.hx, code.hz) for w in h.sum(axis=0)]
     return WeightProfile(w_r=max(per_row), w_c=max(per_col),
                          per_row=per_row, per_col=per_col)
 

@@ -20,12 +20,7 @@ DEFAULT_BUDGET = 1 << 26
 
 
 class BudgetExceeded(RuntimeError):
-    """Enumeration space larger than the vector budget; carries the bound
-    found so far (None when nothing was enumerated)."""
-
-    def __init__(self, message, lower_bound=None):
-        super().__init__(message)
-        self.lower_bound = lower_bound
+    """Enumeration space larger than the vector budget."""
 
 
 @dataclass

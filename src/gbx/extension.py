@@ -7,12 +7,12 @@ sparsity reference.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .code import CssCode, build_gb, dimension_rank, weight_profile
+from .code import CssCode, build_gb, weight_profile
 from .gf2poly import (RingPoly, f2_degree, f2_gcd, f2_mul, format_poly,
                       geometric_sum, parse_poly, parse_ring_poly, ring_reduce,
                       x_pow_minus_one)
@@ -114,18 +114,13 @@ def dim_exact_coprime(plan: ExtensionPlan, m: int) -> int:
         raise ValueError(
             "x^l - 1 and sum x^{il} share a factor (kappa_m even); the "
             "closed formula does not apply")
-
-    def deg(g: int) -> int:
-        d = f2_degree(g)
-        return int(d) if d > 0 else 0
-
-    k = 2 * (deg(f2_gcd(p, modulus)) + deg(f2_gcd(phi, modulus))
-             + deg(f2_gcd(p, sigma)) + deg(f2_gcd(phi, sigma)))
+    k = 2 * (f2_degree(f2_gcd(p, modulus)) + f2_degree(f2_gcd(phi, modulus))
+             + f2_degree(f2_gcd(p, sigma)) + f2_degree(f2_gcd(phi, sigma)))
     member = extend_family(plan, with_logicals=False)[m - 1]
-    if k != dimension_rank(member):
+    if k != member.k:
         raise AssertionError(
             f"closed-form dimension {k} disagrees with rank dimension "
-            f"{dimension_rank(member)} for member {m}")
+            f"{member.k} for member {m}")
     return k
 
 
@@ -139,7 +134,6 @@ class SparsityProfile:
     classification: str  # "t-qldpc" | "exp-decay" | "other"
     t: int | None = None
     alpha: Fraction | None = None
-    members: list = field(default_factory=list)  # (n, w_r, w_c) per member
 
 
 def sparsity_profile(family: list) -> SparsityProfile:
@@ -152,26 +146,24 @@ def sparsity_profile(family: list) -> SparsityProfile:
     """
     if not family:
         raise ValueError("empty family")
-    q_r, q_c, members = [], [], []
+    q_r, q_c, w_rs, w_cs = [], [], [], []
     for code in family:
         wp = weight_profile(code)
         if 0 in wp.per_row or 0 in wp.per_col:
             raise ValueError("parity-check matrix has an all-zero row or column")
         q_r.append(Fraction(wp.w_r, code.n))
         q_c.append(Fraction(wp.w_c, code.ell))
-        members.append((code.n, wp.w_r, wp.w_c))
-    w_rs = [m[1] for m in members]
-    w_cs = [m[2] for m in members]
+        w_rs.append(wp.w_r)
+        w_cs.append(wp.w_c)
     if len(set(w_rs)) == 1 and len(set(w_cs)) == 1:
-        return SparsityProfile(q_r, q_c, "t-qldpc", t=max(w_rs), members=members)
+        return SparsityProfile(q_r, q_c, "t-qldpc", t=max(w_rs))
     q = [max(r, c) for r, c in zip(q_r, q_c)]
     ratios = {b / a for a, b in zip(q, q[1:])}
     if len(ratios) == 1:
         alpha = ratios.pop()
         if alpha < 1:
-            return SparsityProfile(q_r, q_c, "exp-decay", alpha=alpha,
-                                   members=members)
-    return SparsityProfile(q_r, q_c, "other", members=members)
+            return SparsityProfile(q_r, q_c, "exp-decay", alpha=alpha)
+    return SparsityProfile(q_r, q_c, "other")
 
 
 def shor_sparsity(d: int) -> tuple[Fraction, Fraction]:

@@ -99,14 +99,6 @@ def verify_embedding(small: CssCode, large: CssCode) -> tuple[bool, dict]:
     """Check scalability condition 1: after the constructive block
     relabellings every 1-entry of the small code's check matrices appears at
     the same position in the large code's."""
-    if large.ell == small.ell:
-        wx = _covered(small.hx, large.hx)
-        wz = _covered(small.hz, large.hz)
-        ok = wx is None and wz is None
-        witness = {"relabelling": "identity"}
-        if not ok:
-            witness["mismatch"] = wx if wx is not None else wz
-        return ok, witness
     if large.ell != 3 * small.ell:
         return False, {"reason": "large ring is not three times the small one"}
     blk = small.ell

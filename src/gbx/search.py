@@ -4,10 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .code import build_gb, dimension_gcd
+from .code import build_gb
 from .decoder import DecoderConfig
 from .distance import min_distance
-from .gf2poly import RingPoly, f2_weight, format_poly, parse_ring_poly
+from .gf2poly import (RingPoly, f2_degree, f2_gcd, f2_weight, format_poly,
+                      parse_ring_poly, x_pow_minus_one)
 from .simulator import NoiseModel, estimate_ler, threshold_estimate
 
 SEARCH_ELL_LIMIT = 12
@@ -17,7 +18,6 @@ SEARCH_ELL_LIMIT = 12
 class SearchFilter:
     ell: int
     max_weight: int = 8
-    require_dim: bool = True
     require_distance: int | None = None
     ler_screen: tuple | None = None  # (p, max_ler)
     screen_trials: int = 10_000
@@ -44,32 +44,32 @@ def search_base_codes(flt: SearchFilter, seed: int = 0
                       ) -> tuple[list, int]:
     """Exhaustive scan over ordered pairs of nonzero generators.
 
-    Screens run cheapest first: dimension, weight, distance, LER. Returns
-    the ranked hits plus the count of pairs passing the k > 0 screen alone
-    (the counting convention: ordered pairs, both generators nonzero, no
-    deduplication by code equivalence).
+    Screens run cheapest first: dimension (pairs with k = 0 encode no
+    qubit and are skipped), weight, distance, LER. Returns the ranked hits
+    plus the count of pairs passing the k > 0 screen alone (the counting
+    convention: ordered pairs, both generators nonzero, no deduplication by
+    code equivalence).
     """
     ell = flt.ell
     if ell > SEARCH_ELL_LIMIT:
         raise ValueError(f"search limited to ring sizes <= {SEARCH_ELL_LIMIT}")
     hits = []
     k_positive = 0
+    modulus = x_pow_minus_one(ell)
     for am in range(1, 1 << ell):
-        a = RingPoly.from_mask(am, ell)
+        ga = f2_gcd(am, modulus)
         for bm in range(1, 1 << ell):
-            b = RingPoly.from_mask(bm, ell)
-            k = dimension_gcd(a, b)
-            if k > 0:
-                k_positive += 1
-            if flt.require_dim and k == 0:
+            k = 2 * f2_degree(f2_gcd(ga, bm))  # 2 deg gcd(a, b, x^l - 1)
+            if k == 0:
                 continue
+            k_positive += 1
             w_r = f2_weight(am) + f2_weight(bm)
             if w_r > flt.max_weight:
                 continue
-            d = None
             if flt.require_distance is not None or flt.ler_screen is not None:
-                if k == 0:
-                    continue
+                a = RingPoly.from_mask(am, ell)
+                b = RingPoly.from_mask(bm, ell)
+            d = None
             if flt.require_distance is not None:
                 # the distance needs no logical basis; the LER screen does
                 res = min_distance(build_gb(a, b, with_logicals=False),

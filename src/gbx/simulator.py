@@ -16,7 +16,7 @@ import csv
 import io
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,16 +32,14 @@ CSV_COLUMNS = ["code_label", "n", "k", "p", "trials", "failures", "ler",
 
 @dataclass
 class NoiseModel:
+    """Depolarizing noise: each qubit suffers X, Y or Z with probability
+    p/3 each."""
+
     p: float
-    pauli_split: tuple = (1 / 3, 1 / 3, 1 / 3)  # (X, Y, Z)
 
     def __post_init__(self):
         if not 0 <= self.p <= 1:
             raise ValueError("physical error rate must lie in [0, 1]")
-        if len(self.pauli_split) != 3 or any(s < 0 for s in self.pauli_split):
-            raise ValueError("pauli_split needs three non-negative entries")
-        if abs(sum(self.pauli_split) - 1.0) > 1e-12:
-            raise ValueError("pauli_split must sum to 1")
 
 
 @dataclass
@@ -56,7 +54,6 @@ class SimReport:
     ci_low: float
     ci_high: float
     seed: int
-    config: dict = field(default_factory=dict)
 
     def row(self) -> list:
         return [self.code_label, self.n, self.k, f"{self.p:.10g}",
@@ -64,16 +61,16 @@ class SimReport:
                 f"{self.ci_low:.10g}", f"{self.ci_high:.10g}", self.seed]
 
 
-def wilson_interval(failures: int, trials: int, z: float = Z95):
+def wilson_interval(failures: int, trials: int):
     """95% binomial (Wilson score) interval for the failure rate."""
     if trials == 0:
         return 0.0, 1.0
     phat = failures / trials
-    z2 = z * z
+    z2 = Z95 * Z95
     denom = 1.0 + z2 / trials
     center = (phat + z2 / (2 * trials)) / denom
-    half = z * math.sqrt(phat * (1 - phat) / trials
-                         + z2 / (4 * trials * trials)) / denom
+    half = Z95 * math.sqrt(phat * (1 - phat) / trials
+                           + z2 / (4 * trials * trials)) / denom
     lo = 0.0 if failures == 0 else max(0.0, center - half)
     hi = 1.0 if failures == trials else min(1.0, center + half)
     return lo, hi
@@ -87,16 +84,13 @@ def trial_rng(seed, trial: int) -> np.random.Generator:
 
 
 def sample_error(n: int, noise: NoiseModel, rng: np.random.Generator):
-    """Per qubit: with probability p draw a Pauli from the split; X sets the
-    ex bit, Z the ez bit, Y both. Always consumes two uniform draws per
-    qubit so the stream layout is fixed."""
+    """Per qubit: with probability p draw X, Y or Z uniformly (u below 1/3,
+    below 2/3, above); X sets the ex bit, Z the ez bit, Y both. Always
+    consumes two uniform draws per qubit so the stream layout is fixed."""
     hit = rng.random(n) < noise.p
     u = rng.random(n)
-    sx, sy, _ = noise.pauli_split
-    is_x = u < sx
-    is_y = (u >= sx) & (u < sx + sy)
-    ex = (hit & (is_x | is_y)).astype(np.uint8)
-    ez = (hit & ~is_x).astype(np.uint8)
+    ex = (hit & (u < 2 / 3)).astype(np.uint8)
+    ez = (hit & (u >= 1 / 3)).astype(np.uint8)
     return ex, ez
 
 
@@ -164,24 +158,17 @@ def estimate_ler(code: CssCode, noise: NoiseModel, cfg: DecoderConfig,
     return SimReport(code_label=code.label, n=code.n, k=code.k, p=noise.p,
                      trials=done, failures=failures,
                      ler=failures / done, ci_low=lo, ci_high=hi,
-                     seed=int(master),
-                     config={"max_iter": cfg.max_iter,
-                             "ms_scale": cfg.ms_scale,
-                             "osd_order": cfg.osd_order,
-                             "osd_mode": cfg.osd_mode,
-                             "pauli_split": tuple(noise.pauli_split),
-                             "precision": precision})
+                     seed=int(master))
 
 
 def _sweep_point(args):
-    code, p, split, cfg, trials, precision, seed = args
-    return estimate_ler(code, NoiseModel(p, split), cfg, trials,
+    code, p, cfg, trials, precision, seed = args
+    return estimate_ler(code, NoiseModel(p), cfg, trials,
                         precision=precision, seed=seed)
 
 
 def sweep(family: list, p_grid: list, cfg: DecoderConfig, trials: int,
-          precision: float = 1e-3, seed: int = 0, threads: int = 1,
-          pauli_split=(1 / 3, 1 / 3, 1 / 3)) -> list:
+          precision: float = 1e-3, seed: int = 0, threads: int = 1) -> list:
     """Cartesian product of members and grid points; each point gets its own
     deterministic seed tuple, so threading never changes the result. The
     points run in min(threads, points) worker processes, or serially when
@@ -191,8 +178,7 @@ def sweep(family: list, p_grid: list, cfg: DecoderConfig, trials: int,
         raise ValueError("need a nonempty family and grid")
     if threads < 1:
         raise ValueError("threads must be at least 1")
-    jobs = [(code, float(p), tuple(pauli_split), cfg, trials, precision,
-             (seed, mi, pi))
+    jobs = [(code, float(p), cfg, trials, precision, (seed, mi, pi))
             for mi, code in enumerate(family)
             for pi, p in enumerate(p_grid)]
     threads = min(threads, len(jobs))

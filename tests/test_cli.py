@@ -8,6 +8,7 @@ from gbx.cli import (EXIT_BUDGET, EXIT_EMPTY, EXIT_IO, EXIT_OK, EXIT_USAGE,
                      main)
 from gbx.code import code_from_json, code_to_json
 from gbx.scalable import TripleBlockPlan, build_triple_family
+from gbx.simulator import CSV_COLUMNS
 
 
 def build_code_file(tmp_path, name="code.json"):
@@ -102,6 +103,21 @@ def test_scale3_emits_family_and_certificate(tmp_path):
     assert all(c["embedded"] for c in certs)
 
 
+def test_scale3_writes_certificate_only_where_told(tmp_path, monkeypatch,
+                                                    capsys):
+    path = build_code_file(tmp_path)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(["scale3", "--base", str(path), "--levels", "2"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)[1]["n"] == 30
+    assert list(work.iterdir()) == []  # family on stdout, no certificate
+    assert main(["scale3", "--base", str(path), "--levels", "2",
+                 "--out", "fam.json"]) == EXIT_OK
+    assert sorted(p.name for p in work.iterdir()) == ["fam.json",
+                                                      "fam.json.cert.json"]
+
+
 def test_scale4_family(tmp_path):
     path = build_code_file(tmp_path)
     fam = tmp_path / "fam4.json"
@@ -186,6 +202,12 @@ BAD_ARGV = [
     # flags act only on the subcommands that read them
     (["distance", "--threads", "8", "--code", "{code}"], EXIT_USAGE),
     (["search", "--format", "csv", "--ell", "3"], EXIT_USAGE),
+    # malformed artifact content names the file instead of a traceback
+    (["distance", "--code", "{int_a}"], EXIT_IO),
+    (["distance", "--code", "{list_ell}"], EXIT_IO),
+    (["distance", "--code", "{int_hx}"], EXIT_IO),
+    (["extend", "--plan", "{int_base}"], EXIT_IO),
+    (["report", "{short_row}"], EXIT_IO),
 ]
 
 
@@ -210,9 +232,19 @@ def test_bad_input_gives_one_error_line_and_exit_code(tmp_path, capsys,
     paths = {"{code}": code, "{syn}": syn, "{big}": big, "{empty}": empty,
              "{no_b}": no_b, "{digit2}": digit2,
              "{missing}": tmp_path / "missing.json"}
+    for name, text in [
+            ("int_a", '{"ell": 5, "a": 5, "b": "1"}'),
+            ("list_ell", '{"ell": [1], "a": "1", "b": "1"}'),
+            ("int_hx", '{"ell": 5, "a": "1+x", "b": "1", "hx": 5}'),
+            ("int_base", '{"base": 5}'),
+            ("short_row", ",".join(CSV_COLUMNS) + "\na,1\n")]:
+        path = paths["{%s}" % name] = tmp_path / name
+        path.write_text(text)
     capsys.readouterr()
     rc = main([str(paths.get(a, a)) for a in argv])
     err = capsys.readouterr().err
     assert rc == expected
     assert "Traceback" not in err
     assert "error: " in err.strip().splitlines()[-1]
+    if expected == EXIT_IO:
+        assert len(err.strip().splitlines()) == 1

@@ -39,6 +39,9 @@ def test_known_small_code():
     wp = weight_profile(code)
     assert wp.w_r == 6
     assert wp.per_row == [6] * 10
+    # columns of H_X = (A|B), then of H_Z = (B^T|A^T); a has weight 2, b 4
+    assert wp.w_c == 4
+    assert wp.per_col == [2] * 5 + [4] * 5 + [4] * 5 + [2] * 5
 
 
 def test_dimension_formulas_agree_exhaustively():
@@ -144,16 +147,6 @@ def test_zero_k_has_no_logicals():
         assert code.lx is None
         with pytest.raises(ValueError):
             logical_basis(code)
-
-
-def test_full_h_block_diagonal():
-    code = make_10_2_3()
-    H = code.full_h()
-    assert H.shape == (10, 20)
-    assert np.array_equal(H[:5, :10], code.hx)
-    assert np.array_equal(H[5:, 10:], code.hz)
-    assert not H[:5, 10:].any()
-    assert not H[5:, :10].any()
 
 
 def test_json_roundtrip():

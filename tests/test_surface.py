@@ -1,12 +1,16 @@
-"""The public surface has callers: no exported name or CLI option is dead.
+"""The public surface has callers: no exported name, dataclass field or CLI
+option is dead.
 
 A name in ``gbx.__all__`` must be referenced somewhere in the package other
-than its own definition and import lines, or in the benchmark harness; a
-CLI option must be read by its subcommand's handler.
+than its own definition and import lines, or in the benchmark harness; so
+must every field of an exported dataclass (by name: a read of any attribute
+or variable with the field's name counts); a CLI option must be read by its
+subcommand's handler.
 """
 
 import argparse
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -65,6 +69,15 @@ def test_every_exported_name_has_a_caller():
     assert ACCEPTANCE_ONLY <= exported
     dead = exported - referenced_names() - ACCEPTANCE_ONLY
     assert not dead, f"exported but never called: {sorted(dead)}"
+
+
+def test_every_exported_dataclass_field_is_read():
+    refs = referenced_names()
+    unread = [f"{name}.{f.name}" for name in gbx.__all__
+              if inspect.isclass(cls := getattr(gbx, name))
+              and dataclasses.is_dataclass(cls)
+              for f in dataclasses.fields(cls) if f.name not in refs]
+    assert not unread, f"dataclass fields never read: {unread}"
 
 
 def handler_reads() -> dict:
