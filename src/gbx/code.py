@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2mat import circulant_from_poly, nullspace, rank_gf2, row_reduce
+from .gf2mat import (circulant_from_poly, nullspace, rank_gf2, row_masks,
+                     row_reduce)
 from .gf2poly import (RingPoly, f2_degree, f2_gcd, format_poly,
                       parse_ring_poly, x_pow_minus_one)
 
@@ -108,7 +109,9 @@ def logical_basis(code: CssCode) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("code has no logical qubits")
     lx = _quotient_basis(code.hz, code.hx, code.k)
     lz = _quotient_basis(code.hx, code.hz, code.k)
-    pairing = (lx @ lz.T) % 2
+    # parities of int-mask rows: numpy runs a uint8 product without BLAS
+    zrows = row_masks(lz)
+    pairing = [[(x & z).bit_count() & 1 for z in zrows] for x in row_masks(lx)]
     if rank_gf2(pairing) != code.k:
         raise AssertionError("logical pairing matrix is singular")
     return lx, lz

@@ -7,7 +7,10 @@ either residual pairs nontrivially with the opposite-type logical basis.
 
 Randomness is counter-style: every trial owns a generator seeded by
 (master seed, point index, trial index), so results are bit-identical under
-any execution order or batching.
+any execution order or batching. A batch computes its trials' streams
+together: numpy's SeedSequence (NEP 19) runs on uint32 arrays, one lane
+per trial, and one PCG64 takes each trial's seeded state in turn, so row t
+equals `sample_error(n, noise, trial_rng(seed, t))` bit for bit.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -87,11 +91,99 @@ def sample_error(n: int, noise: NoiseModel, rng: np.random.Generator):
     """Per qubit: with probability p draw X, Y or Z uniformly (u below 1/3,
     below 2/3, above); X sets the ex bit, Z the ez bit, Y both. Always
     consumes two uniform draws per qubit so the stream layout is fixed."""
-    hit = rng.random(n) < noise.p
-    u = rng.random(n)
-    ex = (hit & (u < 2 / 3)).astype(np.uint8)
-    ez = (hit & (u >= 1 / 3)).astype(np.uint8)
+    return _paulis(rng.random(2 * n), noise.p)
+
+
+def _paulis(U: np.ndarray, p: float):
+    """sample_error's rule on uniforms U (..., 2n): the first n draws decide
+    which qubits are hit, the last n which Pauli strikes each."""
+    n = U.shape[-1] // 2
+    hit = U[..., :n] < p
+    ex = (hit & (U[..., n:] < 2 / 3)).astype(np.uint8)
+    ez = (hit & (U[..., n:] >= 1 / 3)).astype(np.uint8)
     return ex, ez
+
+
+# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _words(v) -> list:
+    """A seed entry as SeedSequence reads it: little-endian 32-bit words,
+    one word for 0."""
+    v = operator.index(v)
+    if v < 0:
+        raise ValueError("expected non-negative integer")
+    return [v >> s & _MASK32 for s in range(0, max(v.bit_length(), 1), 32)]
+
+
+def _hasher(h: int, mult: int):
+    """SeedSequence's hashmix on uint32 arrays: XOR with the running
+    constant, step it (h *= mult), multiply by it, fold the high half."""
+    def hashmix(v: np.ndarray) -> np.ndarray:
+        nonlocal h
+        x, h = np.uint32(h), h * mult & _MASK32
+        v = (v ^ x) * np.uint32(h)
+        return v ^ (v >> np.uint32(16))
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_L - y * _MIX_R
+    return r ^ (r >> np.uint32(16))
+
+
+def _seed_state(key: list, start: int, count: int) -> list:
+    """SeedSequence(key + [t]).generate_state(4, np.uint64) for t in
+    [start, start + count), every t having as many words as `start`, as
+    four lists of words. The pool (size 4) is mixed on uint32 arrays, one
+    lane per t."""
+    t = np.arange(start, start + count, dtype=np.uint64)
+    entropy = [np.full(count, w, np.uint32) for v in key for w in _words(v)]
+    entropy += [(t >> np.uint64(32 * i)).astype(np.uint32)
+                for i in range(len(_words(start)))]
+    entropy += [np.zeros(count, np.uint32)] * (4 - len(entropy))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(w))
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    st = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    return [(st[2 * j] | st[2 * j + 1] << np.uint64(32)).tolist()
+            for j in range(4)]
+
+
+def _sample_batch(n: int, noise: NoiseModel, seed, start: int, count: int):
+    """The (count, n) EX and EZ stacks of trials [start, start + count): row
+    t is bit for bit sample_error(n, noise, trial_rng(seed, start + t)).
+    One PCG64 takes each trial's seeded state (as pcg64_srandom_r sets it)
+    and draws 2n doubles, each from one uint64, as sample_error does. A
+    batch is split where the trial index gains a 32-bit word."""
+    key = list(seed) if isinstance(seed, (tuple, list)) else [seed]
+    U = np.empty((count, 2 * n))
+    bits = np.random.PCG64(0)
+    gen = np.random.Generator(bits)
+    row = 0
+    while row < count:
+        lo = start + row
+        part = min(count - row, (1 << 32 * len(_words(lo))) - lo)
+        for u0, u1, u2, u3 in zip(*_seed_state(key, lo, part)):
+            inc = ((u2 << 64 | u3) << 1 | 1) & _MASK128
+            state = ((u0 << 64 | u1) + inc) * _PCG_MULT + inc & _MASK128
+            bits.state = {"bit_generator": "PCG64", "has_uint32": 0,
+                          "uinteger": 0, "state": {"state": state, "inc": inc}}
+            gen.random(out=U[row])
+            row += 1
+    return _paulis(U, noise.p)
 
 
 def classify_failure(code: CssCode, rx: np.ndarray, rz: np.ndarray):
@@ -114,11 +206,7 @@ def _decoder_prior(p: float) -> float:
 def _run_batch(code: CssCode, noise: NoiseModel, cfg: DecoderConfig,
                seed, start: int, count: int) -> int:
     """Failure count over trials [start, start + count)."""
-    n = code.n
-    EX = np.empty((count, n), dtype=np.uint8)
-    EZ = np.empty((count, n), dtype=np.uint8)
-    for t in range(count):
-        EX[t], EZ[t] = sample_error(n, noise, trial_rng(seed, start + t))
+    EX, EZ = _sample_batch(code.n, noise, seed, start, count)
     SZ = (EX @ code.hz.T) % 2
     SX = (EZ @ code.hx.T) % 2
     p_dec = _decoder_prior(noise.p)

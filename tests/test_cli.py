@@ -208,6 +208,9 @@ BAD_ARGV = [
     (["distance", "--code", "{int_hx}"], EXIT_IO),
     (["extend", "--plan", "{int_base}"], EXIT_IO),
     (["report", "{short_row}"], EXIT_IO),
+    # SeedSequence takes non-negative seed entries only
+    (["sweep", "--base", "{code}", "--members", "1..2"] + SWEEP_GRID
+     + ["--seed", "-1"], EXIT_USAGE),
 ]
 
 
@@ -248,3 +251,17 @@ def test_bad_input_gives_one_error_line_and_exit_code(tmp_path, capsys,
     assert "error: " in err.strip().splitlines()[-1]
     if expected == EXIT_IO:
         assert len(err.strip().splitlines()) == 1
+
+
+def test_seed_errors_and_wide_seeds(tmp_path, capsys):
+    code = build_code_file(tmp_path)
+    args = ["sweep", "--base", str(code), "--members", "1..1"] + SWEEP_GRID
+    capsys.readouterr()
+    assert main(args + ["--seed", "-1"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: expected non-negative integer\n"
+    # a seed of two 32-bit words is an ordinary seed (row as numpy's
+    # per-trial generators give it)
+    out = tmp_path / "wide.csv"
+    assert main(args + ["--seed", str(2**32), "--out", str(out)]) == EXIT_OK
+    assert out.read_text().splitlines()[1:] == [
+        '"m=1,l=5",10,2,0.1,10,3,0.3,0.1077912674,0.6032218525,4294967296']

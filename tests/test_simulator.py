@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gbx import simulator
 from gbx.code import build_gb
@@ -76,6 +78,68 @@ def test_sampling_is_deterministic_per_trial():
     # tuple seeds address sweep points independently
     d = sample_error(20, noise, trial_rng((5, 0, 1), 17))
     assert not (np.array_equal(a[0], d[0]) and np.array_equal(a[1], d[1]))
+
+
+SEED_ENTRIES = st.one_of(st.just(0), st.integers(1, 2**32 - 1),
+                         st.integers(2**32, 2**80))
+# trial ranges at small offsets and where the index gains a 32-bit word
+STARTS = st.one_of(st.integers(0, 6000), st.integers(2**32 - 12, 2**32 + 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.one_of(SEED_ENTRIES, st.tuples(SEED_ENTRIES),
+                      st.lists(SEED_ENTRIES, min_size=2, max_size=5)
+                      .map(tuple)),
+       start=STARTS, count=st.integers(1, 12), n=st.integers(1, 810),
+       p=st.sampled_from([0.0, 0.01, 0.5, 1.0]), data=st.data())
+@example(seed=(0, 0, 0), start=2**32 - 3, count=6, n=1, p=0.5,
+         data=None)
+@example(seed=2**32, start=0, count=3, n=810, p=0.01, data=None)
+def test_batched_sampler_equals_per_trial_streams(seed, start, count, n, p,
+                                                   data):
+    """Row t of a batch is sample_error on trial_rng(seed, start + t), and
+    the threshold rule on numpy's own default_rng(key).random(2n); any
+    split of the range into sub-batches stacks to the same rows."""
+    noise = NoiseModel(p)
+    EX, EZ = simulator._sample_batch(n, noise, seed, start, count)
+    assert EX.shape == EZ.shape == (count, n)
+    key = list(seed) if isinstance(seed, tuple) else [seed]
+    for t in range(count):
+        ex, ez = sample_error(n, noise, trial_rng(seed, start + t))
+        U = np.random.default_rng(key + [start + t]).random(2 * n)
+        hit = U[:n] < p
+        assert np.array_equal(EX[t], ex) and np.array_equal(EZ[t], ez)
+        assert np.array_equal(EX[t], hit & (U[n:] < 2 / 3))
+        assert np.array_equal(EZ[t], hit & (U[n:] >= 1 / 3))
+    cuts = [] if data is None else sorted(
+        data.draw(st.lists(st.integers(0, count), max_size=3)))
+    edges = [0] + cuts + [count]
+    parts = [simulator._sample_batch(n, noise, seed, start + a, b - a)
+             for a, b in zip(edges, edges[1:])]
+    assert np.array_equal(np.concatenate([x for x, _ in parts]), EX)
+    assert np.array_equal(np.concatenate([z for _, z in parts]), EZ)
+
+
+def test_negative_seed_is_refused_as_numpy_refuses_it():
+    noise = NoiseModel(0.1)
+    for seed in (-1, (3, -1, 0)):
+        with pytest.raises(ValueError, match="^expected non-negative"):
+            trial_rng(seed, 0)
+        with pytest.raises(ValueError, match="^expected non-negative"):
+            estimate_ler(make_code(), noise, DecoderConfig(), trials=10,
+                         seed=seed)
+
+
+def test_estimate_ler_with_wide_seed_matches_per_trial_oracle():
+    # seed entries of two 32-bit words lengthen SeedSequence's entropy
+    code = make_code()
+    noise, cfg, trials = NoiseModel(0.1), DecoderConfig(), 150
+    for seed in (2**32 + 5, (2**40, 1, 0)):
+        scalar = sum(run_trial(code, noise, cfg, trial_rng(seed, t))
+                     for t in range(trials))
+        rep = estimate_ler(code, noise, cfg, trials=trials, seed=seed,
+                           precision=0.0, batch=64)
+        assert rep.failures == scalar
 
 
 def test_classify_failure():
