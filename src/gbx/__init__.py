@@ -3,7 +3,7 @@ decoding, and logical-error-rate estimation."""
 
 from .code import (CssCode, WeightProfile, build_gb, code_from_dict,
                    code_from_json, code_to_dict, code_to_json, dimension_gcd,
-                   dimension_rank, logical_basis, to_alist, weight_profile)
+                   logical_basis, to_alist, weight_profile)
 from .decoder import (DecodeOutcome, DecoderConfig, bp_minsum_batch, decode,
                       decode_batch, osd_postprocess)
 from .distance import (BudgetExceeded, DistanceResult, min_distance)

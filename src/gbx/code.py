@@ -53,18 +53,11 @@ def dimension_gcd(a: RingPoly, b: RingPoly) -> int:
     return 2 * f2_degree(f2_gcd(a.mask, b.mask, x_pow_minus_one(a.ring_dim)))
 
 
-def dimension_rank(code: CssCode) -> int:
-    """k = n - rank(H_X) - rank(H_Z) (rank-nullity for CSS codes)."""
-    return code.n - rank_gf2(code.hx) - rank_gf2(code.hz)
-
-
 def build_gb(a: RingPoly, b: RingPoly, label: str = "",
              with_logicals: bool = True) -> CssCode:
-    """Construct the GB code for a generator pair in the same ring."""
-    if a.ring_dim != b.ring_dim:
-        raise ValueError("ring dimension mismatch")
-    if a.mask == 0 and b.mask == 0:
-        raise ValueError("generators must not both be zero")
+    """Construct the GB code for a generator pair in the same ring; k is
+    the gcd dimension of :func:`dimension_gcd`."""
+    k = dimension_gcd(a, b)
     ell = a.ring_dim
     A = circulant_from_poly(a)
     B = circulant_from_poly(b)
@@ -73,9 +66,8 @@ def build_gb(a: RingPoly, b: RingPoly, label: str = "",
     if ((hx @ hz.T) % 2).any():
         raise AssertionError("commutativity violated; internal bug")
     code = CssCode(ell=ell, a=a, b=b, hx=hx, hz=hz, n=2 * ell,
-                   k=0, label=label or f"GB(l={ell},a={a},b={b})")
-    code.k = dimension_rank(code)
-    if with_logicals and code.k > 0:
+                   k=k, label=label or f"GB(l={ell},a={a},b={b})")
+    if with_logicals and k > 0:
         code.lx, code.lz = logical_basis(code)
     return code
 

@@ -16,7 +16,7 @@ import numpy as np
 from .code import CssCode
 from .gf2mat import mask_rows, nullspace, row_masks, row_reduce
 
-DEFAULT_BUDGET = 1 << 26
+BUDGET = 1 << 26  # vectors one sector's kernel walk may cover
 
 
 class BudgetExceeded(RuntimeError):
@@ -33,7 +33,7 @@ class DistanceResult:
 
 
 def _sector_min(kernel_checks: np.ndarray, stabilizer_rows: np.ndarray,
-                budget: int, cap=None):
+                cap):
     """Minimal-weight kernel vector outside the stabilizer rowspace.
 
     Returns (weight, witness, dim, exact). ``exact`` is False when the cap
@@ -44,7 +44,7 @@ def _sector_min(kernel_checks: np.ndarray, stabilizer_rows: np.ndarray,
     dim = len(basis)
     if dim == 0:
         return None, None, 0, True
-    if 1 << dim > budget:
+    if 1 << dim > BUDGET:
         raise BudgetExceeded(f"kernel dimension {dim} exceeds the budget")
     # stabilizer RREF rows keyed by their pivot bit; being fully reduced,
     # a vector's residue is its XOR with the rows whose pivot bits it holds
@@ -75,8 +75,7 @@ def _sector_min(kernel_checks: np.ndarray, stabilizer_rows: np.ndarray,
     return best, witness, dim, True
 
 
-def min_distance(code: CssCode, cap=None, budget: int = DEFAULT_BUDGET
-                 ) -> DistanceResult:
+def min_distance(code: CssCode, cap=None) -> DistanceResult:
     """Exact minimum distance by kernel enumeration.
 
     With ``cap`` set, enumeration stops as soon as a logical operator of
@@ -85,10 +84,10 @@ def min_distance(code: CssCode, cap=None, budget: int = DEFAULT_BUDGET
     """
     if code.k < 1:
         raise ValueError("code has no logical operators (k = 0)")
-    dx, wx, dim_x, exact_x = _sector_min(code.hz, code.hx, budget, cap)
+    dx, wx, dim_x, exact_x = _sector_min(code.hz, code.hx, cap)
     if not exact_x and cap is not None:
         return DistanceResult(dx, wx, "X", dim_x, exact=False)
-    dz, wz, dim_z, exact_z = _sector_min(code.hx, code.hz, budget, cap)
+    dz, wz, dim_z, exact_z = _sector_min(code.hx, code.hz, cap)
     candidates = [(d, w, s) for d, w, s in
                   ((dx, wx, "X"), (dz, wz, "Z")) if d is not None]
     if not candidates:

@@ -98,7 +98,7 @@ def dim_exact_coprime(plan: ExtensionPlan, m: int) -> int:
     phi = gcd(a, b), S = sum_{i<kappa_m} x^{il}. The factorization behind the
     formula additionally needs x^l - 1 and S coprime (equivalently kappa_m
     odd); we refuse otherwise. The result is always cross-checked against the
-    rank-based dimension and a mismatch is a hard error.
+    member's gcd dimension and a mismatch is a hard error.
     """
     if not 1 <= m <= plan.M:
         raise ValueError("member index out of range")
@@ -119,7 +119,7 @@ def dim_exact_coprime(plan: ExtensionPlan, m: int) -> int:
     member = extend_family(plan, with_logicals=False)[m - 1]
     if k != member.k:
         raise AssertionError(
-            f"closed-form dimension {k} disagrees with rank dimension "
+            f"closed-form dimension {k} disagrees with gcd dimension "
             f"{member.k} for member {m}")
     return k
 

@@ -119,6 +119,8 @@ class RingPoly:
 
 def ring_reduce(mask: int, ring_dim: int) -> int:
     """Reduce a plain polynomial modulo x^ring_dim - 1 (fold exponents)."""
+    if ring_dim < 1:
+        raise ValueError("ring dimension must be positive")
     out = mask & ((1 << ring_dim) - 1)
     mask >>= ring_dim
     while mask:

@@ -53,11 +53,10 @@ class ZeroInsertPlan:
             raise ValueError("insertion width r must be positive")
 
 
-def build_triple_family(plan: TripleBlockPlan, with_logicals: bool = True) -> list:
+def build_triple_family(plan: TripleBlockPlan) -> list:
     """The extension family of :func:`triple_extension_plan`; member 1 is
     the plan's base code itself."""
-    family = extend_family(triple_extension_plan(plan.base, plan.M),
-                           with_logicals=with_logicals)
+    family = extend_family(triple_extension_plan(plan.base, plan.M))
     for m, code in enumerate(family[1:], start=2):
         code.label = f"scale3 m={m},l={code.ell}"
     return [plan.base] + family[1:]
@@ -128,7 +127,7 @@ def _widen(poly: RingPoly, j: int, r: int) -> RingPoly:
     return RingPoly.from_mask(f | (g << (j + r)), poly.ring_dim + r)
 
 
-def build_insertion_family(plan: ZeroInsertPlan, with_logicals: bool = True) -> list:
+def build_insertion_family(plan: ZeroInsertPlan) -> list:
     """Zero-insertion family: member m lives in the (l + r(m-1)) ring with
     generators f + x^{r(m-1)} g split at the base index j."""
     family = [plan.base]
@@ -136,6 +135,5 @@ def build_insertion_family(plan: ZeroInsertPlan, with_logicals: bool = True) -> 
         width = plan.r * (m - 1)
         a = _widen(plan.base.a, plan.j, width)
         b = _widen(plan.base.b, plan.j, width)
-        family.append(build_gb(a, b, label=f"scale4 m={m},l={a.ring_dim}",
-                               with_logicals=with_logicals))
+        family.append(build_gb(a, b, label=f"scale4 m={m},l={a.ring_dim}"))
     return family

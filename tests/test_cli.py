@@ -211,6 +211,9 @@ BAD_ARGV = [
     # SeedSequence takes non-negative seed entries only
     (["sweep", "--base", "{code}", "--members", "1..2"] + SWEEP_GRID
      + ["--seed", "-1"], EXIT_USAGE),
+    # a ring of size 0 is refused rather than folded forever
+    (["build", "--a", "1", "--b", "1", "--ell", "0"], EXIT_USAGE),
+    (["distance", "--code", "{ell0}"], EXIT_IO),
 ]
 
 
@@ -223,7 +226,7 @@ def test_bad_input_gives_one_error_line_and_exit_code(tmp_path, capsys,
     base = code_from_json(code.read_text())
     big = tmp_path / "big.json"  # triple member n=90: kernel dimension 60
     big.write_text(code_to_json(build_triple_family(
-        TripleBlockPlan(base, 3), with_logicals=False)[2]))
+        TripleBlockPlan(base, 3))[2]))
     syn = tmp_path / "syn.txt"
     syn.write_text("00000\n01100\n")
     digit2 = tmp_path / "digit2.txt"
@@ -240,6 +243,7 @@ def test_bad_input_gives_one_error_line_and_exit_code(tmp_path, capsys,
             ("list_ell", '{"ell": [1], "a": "1", "b": "1"}'),
             ("int_hx", '{"ell": 5, "a": "1+x", "b": "1", "hx": 5}'),
             ("int_base", '{"base": 5}'),
+            ("ell0", '{"ell": 0, "a": "1", "b": "1"}'),
             ("short_row", ",".join(CSV_COLUMNS) + "\na,1\n")]:
         path = paths["{%s}" % name] = tmp_path / name
         path.write_text(text)

@@ -9,6 +9,7 @@ from gbx.code import build_gb
 from gbx.distance import BudgetExceeded, min_distance
 from gbx.gf2mat import rank_gf2, row_reduce
 from gbx.gf2poly import RingPoly, parse_ring_poly
+from gbx.scalable import TripleBlockPlan, build_triple_family
 from gbx.search import catalog
 
 
@@ -87,10 +88,12 @@ def test_cap_gives_early_upper_bound():
 
 
 def test_budget_guard():
-    code = build_gb(parse_ring_poly("1+x^4", 5),
+    base = build_gb(parse_ring_poly("1+x^4", 5),
                     parse_ring_poly("1+x+x^2+x^4", 5))
+    code = build_triple_family(TripleBlockPlan(base, 3))[2]
+    assert (code.n, code.n - rank_gf2(code.hz)) == (90, 60)  # kernel dim 60
     with pytest.raises(BudgetExceeded):
-        min_distance(code, budget=4)
+        min_distance(code)
 
 
 def test_catalog_distances_are_exact():

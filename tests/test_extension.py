@@ -5,12 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gbx.code import build_gb, dimension_rank, weight_profile
+from gbx.code import build_gb, weight_profile
 from gbx.extension import (ExtensionPlan, check_dim_lower_bound,
                            dim_exact_coprime, extend_family, identity_plan,
                            plan_from_json, plan_to_dict, shor_check_matrices,
                            shor_sparsity, sparsity_profile)
 from gbx.gf2poly import RingPoly, f2_gcd, parse_ring_poly
+from oracles import dimension_rank
 
 import json
 
@@ -88,7 +89,7 @@ def test_closed_form_dimension_odd_kappa():
         if f2_gcd(p, f2_gcd(a.mask, b.mask)) != 1:
             continue
         plan = ExtensionPlan(a, b, 2, (1, kappa), (1, p))
-        k = dim_exact_coprime(plan, 2)  # internally asserts == rank dimension
+        k = dim_exact_coprime(plan, 2)  # internally asserts == gcd dimension
         member = extend_family(plan, with_logicals=False)[1]
         assert k == dimension_rank(member)
         checked += 1
@@ -126,7 +127,7 @@ def test_sparsity_exp_decay_detection():
     from gbx.scalable import TripleBlockPlan, build_triple_family
     a, b = base_pair()
     base = build_gb(a, b)
-    fam = build_triple_family(TripleBlockPlan(base, 3), with_logicals=False)
+    fam = build_triple_family(TripleBlockPlan(base, 3))
     prof = sparsity_profile(fam)
     assert prof.classification == "exp-decay"
     assert prof.alpha == Fraction(2, 3)

@@ -6,8 +6,8 @@ import pytest
 
 from gbx.gf2poly import (NEG_INF, RingPoly, f2_degree, f2_divmod, f2_gcd,
                          f2_mod, f2_mul, f2_weight, format_poly,
-                         geometric_sum, parse_poly, ring_reduce,
-                         x_pow_minus_one)
+                         geometric_sum, parse_poly, parse_ring_poly,
+                         ring_reduce, x_pow_minus_one)
 
 
 def poly_to_coeff_dict(mask):
@@ -102,6 +102,15 @@ def test_ring_reduce_folds_exponents():
         mask = rng.getrandbits(20)
         ell = rng.randrange(1, 9)
         assert ring_reduce(mask, ell) == f2_mod(mask, x_pow_minus_one(ell))
+
+
+def test_ring_reduce_rejects_empty_ring():
+    # folding by x^0 - 1 would shift by zero and never empty the mask
+    for ell in (0, -1):
+        with pytest.raises(ValueError, match="ring dimension must be positive"):
+            ring_reduce(0b101, ell)
+        with pytest.raises(ValueError, match="ring dimension must be positive"):
+            parse_ring_poly("1", ell)
 
 
 def test_ringpoly_construction_and_views():

@@ -130,7 +130,7 @@ def test_triple_matches_its_extension_plan():
     base = base_code()
     plan = triple_extension_plan(base, 3)
     assert plan.kappa == (1, 3, 9)
-    direct = build_triple_family(TripleBlockPlan(base, 3), with_logicals=False)
+    direct = build_triple_family(TripleBlockPlan(base, 3))
     via_plan = extend_family(plan, with_logicals=False)
     for x, y in zip(direct, via_plan):
         assert np.array_equal(x.hx, y.hx)
@@ -144,8 +144,7 @@ def test_triple_family_matches_matrix_map():
                  RingPoly.from_mask(int(rng.integers(1, 1 << ell)), ell))
         for ell in rng.integers(2, 7, size=6)]
     for base in bases:
-        fam = build_triple_family(TripleBlockPlan(base, 4),
-                                  with_logicals=False)
+        fam = build_triple_family(TripleBlockPlan(base, 4))
         ref = triple_blocks_by_matrices(base, 4)
         assert fam[0] is base
         assert len(fam) == len(ref)
@@ -202,8 +201,7 @@ def test_insertion_random_weight_preservation():
         base = build_gb(a, b, with_logicals=False)
         j = int(rng.integers(1, ell - 1))
         r = int(rng.integers(1, 4))
-        fam = build_insertion_family(ZeroInsertPlan(base, 3, j, r),
-                                     with_logicals=False)
+        fam = build_insertion_family(ZeroInsertPlan(base, 3, j, r))
         w0 = weight_profile(fam[0]).w_r
         for m, code in enumerate(fam, start=1):
             assert code.ell == ell + r * (m - 1)

@@ -1,11 +1,13 @@
-"""The public surface has callers: no exported name, dataclass field or CLI
-option is dead.
+"""The public surface has callers: no exported name, dataclass field,
+defaulted parameter or CLI option is dead.
 
 A name in ``gbx.__all__`` must be referenced somewhere in the package other
 than its own definition and import lines, or in the benchmark harness; so
 must every field of an exported dataclass (by name: a read of any attribute
-or variable with the field's name counts); a CLI option must be read by its
-subcommand's handler.
+or variable with the field's name counts); a defaulted parameter of an
+exported function must be set by some call in the package or the harness
+(by callee name, and by position or keyword); a CLI option must be read by
+its subcommand's handler.
 """
 
 import argparse
@@ -55,11 +57,17 @@ class References(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def referenced_names() -> set:
-    refs = References()
+def parsed_sources():
+    """Syntax trees of the package and the benchmark harness."""
     for path in sorted(SRC.glob("*.py")) + sorted(
             (ROOT / "benchmarks").glob("*.py")):
-        refs.visit(ast.parse(path.read_text(), filename=str(path)))
+        yield ast.parse(path.read_text(), filename=str(path))
+
+
+def referenced_names() -> set:
+    refs = References()
+    for tree in parsed_sources():
+        refs.visit(tree)
     return refs.names
 
 
@@ -78,6 +86,56 @@ def test_every_exported_dataclass_field_is_read():
               and dataclasses.is_dataclass(cls)
               for f in dataclasses.fields(cls) if f.name not in refs]
     assert not unread, f"dataclass fields never read: {unread}"
+
+
+# Defaulted parameters that tests set but no caller in the package does.
+# estimate_ler(batch=): the pinned failure counts and the README promise
+# that results do not depend on the batch size are checked by setting it.
+TEST_SET_DEFAULTS = {("estimate_ler", "batch")}
+
+
+def defaulted_parameters() -> set:
+    """(function, parameter, position) for every parameter with a default
+    of an exported function; position is None for a keyword-only one."""
+    out = set()
+    for name in gbx.__all__:
+        fn = getattr(gbx, name)
+        if not inspect.isfunction(fn):
+            continue
+        params = inspect.signature(fn).parameters.values()
+        for i, param in enumerate(params):
+            if param.default is not param.empty:
+                keyword_only = param.kind is param.KEYWORD_ONLY
+                out.add((name, param.name, None if keyword_only else i))
+    return out
+
+
+def call_sites() -> dict:
+    """Callee name -> [(positional count, keywords)] for every call in the
+    package and the harness. A starred argument counts as any number of
+    positions, a ``**`` argument as every keyword."""
+    sites = {}
+    for node in (n for tree in parsed_sources() for n in ast.walk(tree)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr",
+                                                         None)
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        npos = float("inf") if starred else len(node.args)
+        sites.setdefault(name, []).append(
+            (npos, {kw.arg for kw in node.keywords}))
+    return sites
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    sites = call_sites()
+    unset = {(fn, param) for fn, param, pos in defaulted_parameters()
+             if not any(param in kws or None in kws
+                        or (pos is not None and npos > pos)
+                        for npos, kws in sites.get(fn, []))}
+    assert TEST_SET_DEFAULTS <= unset
+    dead = sorted(unset - TEST_SET_DEFAULTS)
+    assert not dead, f"defaulted parameters no caller sets: {dead}"
 
 
 def handler_reads() -> dict:
