@@ -63,13 +63,19 @@ def build_gb(a: RingPoly, b: RingPoly, label: str = "",
     B = circulant_from_poly(b)
     hx = np.hstack([A, B])
     hz = np.hstack([B.T, A.T])
-    if ((hx @ hz.T) % 2).any():
+    if any(map(any, _gf2_products(hx, hz))):
         raise AssertionError("commutativity violated; internal bug")
     code = CssCode(ell=ell, a=a, b=b, hx=hx, hz=hz, n=2 * ell,
                    k=k, label=label or f"GB(l={ell},a={a},b={b})")
     if with_logicals and k > 0:
         code.lx, code.lz = logical_basis(code)
     return code
+
+
+def _gf2_products(X: np.ndarray, Y: np.ndarray) -> list:
+    """X Y^T over GF(2) from int-mask rows (numpy's uint8 product: no BLAS)."""
+    yrows = row_masks(Y)
+    return [[(x & y).bit_count() & 1 for y in yrows] for x in row_masks(X)]
 
 
 def _quotient_basis(kernel_of: np.ndarray, mod_rows_of: np.ndarray,
@@ -101,10 +107,7 @@ def logical_basis(code: CssCode) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("code has no logical qubits")
     lx = _quotient_basis(code.hz, code.hx, code.k)
     lz = _quotient_basis(code.hx, code.hz, code.k)
-    # parities of int-mask rows: numpy runs a uint8 product without BLAS
-    zrows = row_masks(lz)
-    pairing = [[(x & z).bit_count() & 1 for z in zrows] for x in row_masks(lx)]
-    if rank_gf2(pairing) != code.k:
+    if rank_gf2(_gf2_products(lx, lz)) != code.k:
         raise AssertionError("logical pairing matrix is singular")
     return lx, lz
 

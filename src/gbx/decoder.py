@@ -79,15 +79,16 @@ def bp_minsum_batch(H: np.ndarray, syndromes: np.ndarray, prior,
                     cfg: DecoderConfig):
     """Vectorized min-sum over a batch of syndromes, on the Tanner-graph edges.
 
-    Messages live on the edges only. Row i of a padded (m, w) table lists
-    the neighbours of check i in ascending column order, w being the largest
-    check degree, so a batch holds (B, m, w) messages: memory scales with the
-    edges, not with m * n. Each variable sums its check messages through an
-    (n, d) slot table, d the largest variable degree, adding them one at a
-    time in ascending check order over a zero pad slot, which is the
-    arithmetic of a dense column sum. Rows that satisfy their syndrome leave
-    the active set after every iteration, frozen at that iteration's state,
-    so each row's result is the same in any batch.
+    Messages live on the edges only, slot by slot with the batch last: slot
+    s of check i holds its s-th neighbour in ascending column order, so a
+    batch holds (w, m, rows) messages, w the largest check degree (at least
+    2), and every per-check reduction runs over the leading axis. Pad slots
+    read an extra marginal row n of +inf: pad messages are +inf and change
+    no other slot's sign or capped minimum. Variables sum their check
+    messages one at a time in ascending check order over a zero pad slot,
+    the arithmetic of a dense column sum. Rows that satisfy their syndrome
+    leave the active set, frozen at that iteration's state, so each row's
+    result is the same in any batch.
 
     Returns (hard, marginals, converged, iterations) with leading batch axis.
     """
@@ -97,64 +98,63 @@ def bp_minsum_batch(H: np.ndarray, syndromes: np.ndarray, prior,
     if S.ndim != 2 or S.shape[1] != m:
         raise ValueError("syndrome length must equal the number of checks")
     B = S.shape[0]
-    llr0 = _prior_llr(prior, n)
+    llr0 = np.append(_prior_llr(prior, n), np.inf)  # row n: the pad row
 
-    # check-major neighbour table; pad slots hold column 0 and are masked
+    # slot-major neighbour table; pad slots hold the +inf marginal row n
     rows, cols = np.nonzero(H)  # row-major: ascending column within a check
     deg = np.bincount(rows, minlength=m)
-    w = max(int(deg.max(initial=0)), 1)
+    w = max(int(deg.max(initial=0)), 2)
     slot = np.arange(rows.size) - np.repeat(np.cumsum(deg) - deg, deg)
-    nbr = np.zeros((m, w), dtype=np.intp)
-    nbr[rows, slot] = cols
-    pos = np.arange(w)
-    edge = pos < deg[:, None]
-    # variable-major slot table into the flat messages; pad -> zero slot m*w
+    nbr = np.full((w, m), n, dtype=np.intp)
+    nbr[slot, rows] = cols
+    # variable-major slot table into the flat messages; pad -> zero row w*m
     by_var = np.argsort(cols, kind="stable")  # keeps ascending checks
     vdeg = np.bincount(cols, minlength=n)
     vslot = np.arange(cols.size) - np.repeat(np.cumsum(vdeg) - vdeg, vdeg)
-    gather = np.full((n, int(vdeg.max(initial=0))), m * w, dtype=np.intp)
-    gather[cols[by_var], vslot] = (rows * w + slot)[by_var]
+    gather = np.full((n + 1, int(vdeg.max(initial=0))), w * m, dtype=np.intp)
+    gather[cols[by_var], vslot] = (slot * m + rows)[by_var]
 
-    hard_out = np.zeros((B, n), dtype=np.uint8)
-    marg_out = np.tile(llr0, (B, 1))
-    iters = np.zeros(B, dtype=np.int64)
-    done = np.zeros(B, dtype=bool)
-
+    hard_out, marg_out = np.empty((B, n), dtype=np.uint8), np.empty((B, n))
+    iters, done = np.empty(B, dtype=np.int64), np.empty(B, dtype=bool)
     active = np.arange(B)
-    syn = S
-    syn_sign = 1.0 - 2.0 * S.astype(np.float64)  # (B, m)
-    M = np.broadcast_to(llr0[nbr], (B, m, w))  # pad slots are masked
-    E = np.zeros((B, m * w + 1))  # flat check messages plus the zero slot
+    syn = S.T.astype(np.uint64) << 63  # (m, Ba) syndrome bits as sign bits
+    M = llr0[nbr][..., None].repeat(B, axis=2)
     for it in range(1, cfg.max_iter + 1):
         if active.size == 0:
             break
-        # check update: per check, scaled min of the other magnitudes with
-        # the extrinsic sign product and the syndrome sign
-        absM = np.where(edge, np.abs(M), np.inf)
-        sgn = np.where(edge & (M < 0), -1.0, 1.0)
-        rowsign = sgn.prod(axis=2)  # (Ba, m)
-        amin = absM.argmin(axis=2)[..., None]
-        min1 = np.take_along_axis(absM, amin, axis=2)
-        np.put_along_axis(absM, amin, np.inf, axis=2)
-        min2 = absM.min(axis=2, keepdims=True)
-        ext_min = np.minimum(np.where(pos == amin, min2, min1), LLR_CAP)
-        Ec = cfg.ms_scale * (syn_sign * rowsign)[..., None] * sgn * ext_min
-        E[:, :-1] = Ec.reshape(len(active), m * w)
-        # variable update and marginals
-        colsum = np.zeros((len(active), n))
+        # check update: each slot gets the min of the other capped, scaled
+        # magnitudes (min commutes exactly with that monotone map), its sign
+        # bit the parity of the other sign bits and the syndrome bit. No
+        # message is -0.0, so a sign bit is set iff the message is < 0.
+        sign = M.view(np.uint64) & (1 << 63)
+        sign ^= np.bitwise_xor.reduce(sign, axis=0) ^ syn
+        np.minimum(np.abs(M, out=M), LLR_CAP, out=M)
+        M *= cfg.ms_scale
+        E = np.zeros((w * m + 1, active.size))  # check messages, zero row
+        Ec = E[:-1].reshape(w, m, active.size)
+        Ec[-1] = M[-1]  # suffix mins, then min(prefix, suffix) around a slot
+        for s in range(w - 2, 0, -1):
+            np.minimum(M[s], Ec[s + 1], out=Ec[s])
+        Ec[0] = Ec[1]
+        for s in range(1, w - 1):
+            np.minimum(M[s - 1], Ec[s + 1], out=Ec[s])
+            np.minimum(M[s - 1], M[s], out=M[s])
+        Ec[-1] = M[-2]
+        Ec.view(np.uint64)[...] |= sign
+        # variable update and marginals, over the +inf pad row n
+        colsum = np.zeros((n + 1, active.size))
         for k in range(gather.shape[1]):
-            colsum += E[:, gather[:, k]]
-        marg = llr0[None, :] + colsum
-        M = marg[:, nbr] - Ec
-        hard = (marg <= 0.0).astype(np.uint8)
-        sat = (((hard[:, nbr] & edge).sum(axis=2) & 1) == syn).all(axis=1)
-        hard_out[active] = hard
-        marg_out[active] = marg
-        iters[active] = it
-        done[active] = sat
-        keep = ~sat
-        active, syn, syn_sign = active[keep], syn[keep], syn_sign[keep]
-        M, E = M[keep], E[keep]
+            colsum += E[gather[:, k]]
+        marg = llr0[:, None] + colsum
+        M = marg[nbr] - Ec
+        hard = marg <= 0.0
+        sat = (np.bitwise_xor.reduce(hard[nbr], 0) == (syn != 0)).all(0)
+        if sat.any() or it == cfg.max_iter:
+            leave = sat | (it == cfg.max_iter)
+            out, keep = active[leave], np.flatnonzero(~leave)
+            hard_out[out], marg_out[out] = hard[:n, leave].T, marg[:n, leave].T
+            iters[out], done[out] = it, sat[leave]
+            active, syn, M = active[keep], syn[:, keep], M.take(keep, axis=2)
     return hard_out, marg_out, done, iters
 
 

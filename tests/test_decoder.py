@@ -13,6 +13,7 @@ from gbx.decoder import (LLR_CAP, DecoderConfig, _prior_llr, bp_minsum_batch,
 from gbx.extension import extend_family, identity_plan
 from gbx.gf2mat import row_reduce
 from gbx.gf2poly import RingPoly, parse_ring_poly
+from gbx.scalable import TripleBlockPlan, build_triple_family
 
 
 def make_code():
@@ -224,6 +225,46 @@ def test_bp_matches_dense_reference_row_by_row(problem, max_iter, ms_scale):
         ref = dense_minsum(H, S[i:i + 1], prior, cfg)
         for got, want in zip(out, ref):
             assert np.array_equal(got[i], want[0])
+
+
+def production_width_problem(member):
+    """hz of a family member of [[10,2,3]] and 64 syndromes of p = 0.05
+    errors: at default settings rows converge at several different
+    iterations and some never do."""
+    base = make_code()
+    if member == "triple n=90":  # check degree 24, variable degree 16
+        code = build_triple_family(TripleBlockPlan(base, 3))[2]
+    else:  # identity n=30: check degree 6, variable degree 4
+        code = extend_family(identity_plan(base.a, base.b, 3))[2]
+    rng = np.random.default_rng(73)
+    E = (rng.random((64, code.n)) < 0.05).astype(np.uint8)
+    return code.hz, (E @ code.hz.T) % 2
+
+
+@pytest.mark.parametrize("member", ["triple n=90", "identity n=30"])
+def test_bp_matches_dense_reference_at_production_widths(member):
+    H, S = production_width_problem(member)
+    cfg = DecoderConfig()
+    out = bp_minsum_batch(H, S, 0.05, cfg)
+    conv, iters = out[2], out[3]
+    assert (~conv).any() and len(set(iters[conv].tolist())) >= 3
+    for i in range(len(S)):
+        ref = dense_minsum(H, S[i:i + 1], 0.05, cfg)
+        for got, want in zip(out, ref):
+            assert np.array_equal(got[i], want[0])
+
+
+@pytest.mark.parametrize("member", ["triple n=90", "identity n=30"])
+def test_bp_rows_keep_their_identity_in_a_shuffled_batch(member):
+    # rows leave the active set at different iterations; each must come
+    # back at its own position with its own state
+    H, S = production_width_problem(member)
+    perm = np.random.default_rng(74).permutation(len(S))
+    cfg = DecoderConfig()
+    out = bp_minsum_batch(H, S, 0.05, cfg)
+    shuffled = bp_minsum_batch(H, S[perm], 0.05, cfg)
+    for got, want in zip(shuffled, out):
+        assert np.array_equal(got, want[perm])
 
 
 def test_prior_validation():
