@@ -5,7 +5,7 @@ Min-sum runs flooding (parallel) message updates on the Tanner graph with a
 check-message scaling factor, iterating until the hard decision satisfies
 the syndrome or the iteration budget runs out. When BP fails, OSD solves the
 syndrome equation exactly on the most reliable information set, so every
-returned estimate satisfies H e = s.
+returned estimate satisfies H e = s unless OSD is off.
 
 LLR convention: positive means "bit is 0 more likely"; the prior is
 log((1-p)/p) and the hard decision sets e_i = 1 when the marginal LLR <= 0.
@@ -20,26 +20,26 @@ import numpy as np
 from .gf2mat import row_reduce
 
 LLR_CAP = 1e9  # stands in for +inf on degree-1 checks
-OSD_MODES = ("off", "order0", "sweep", "always")
+OSD_MODES = ("off", "sweep", "always")
 
 
 @dataclass
 class DecoderConfig:
     """Min-sum and OSD settings.
 
-    ``osd_mode`` selects the post-processing of a BP run:
+    ``osd_mode`` selects the syndromes OSD post-processes:
 
-    * ``off``: no OSD; BP's hard decision is the estimate;
-    * ``order0``: order-0 OSD on every syndrome BP does not satisfy;
-    * ``sweep``: as order0, plus the weight-1 and weight-2 flips within the
-      first ``osd_order`` secondary columns (OSD-CS);
+    * ``off``: none; BP's hard decision is the estimate;
+    * ``sweep``: every syndrome BP does not satisfy, with the weight-1 and
+      weight-2 flips within the first ``osd_order`` secondary columns
+      (OSD-CS; ``osd_order=0`` is order-0 OSD);
     * ``always``: order-0 OSD on every distinct syndrome, converged ones
       included.
     """
 
     max_iter: int = 40
     ms_scale: float = 0.625
-    osd_order: int | None = None  # None -> resolved to the code's ring size
+    osd_order: int | None = None  # None -> the number of checks, ring size l
     osd_mode: str = "sweep"
 
     def __post_init__(self):
@@ -51,12 +51,6 @@ class DecoderConfig:
             raise ValueError("osd_order must be non-negative")
         if self.osd_mode not in OSD_MODES:
             raise ValueError(f"unknown osd_mode {self.osd_mode!r}")
-
-    def for_ring(self, ell: int) -> "DecoderConfig":
-        """This config with ``osd_order=None`` resolved to the ring size."""
-        if self.osd_order is not None:
-            return self
-        return replace(self, osd_order=ell)
 
 
 @dataclass
@@ -166,13 +160,13 @@ def osd_postprocess(H, syndrome, soft, cfg: DecoderConfig) -> DecodeOutcome:
     gets 1-D arrays back. Each row is solved on its own: columns are ranked
     by decreasing error probability (ascending marginal LLR, ties to the
     lower index), and the first rank(H) independent columns form the
-    information set. Order-0 solves the restricted system exactly; sweep
-    mode additionally tries all weight-1 and weight-2 flips within the first
-    ``osd_order`` secondary columns (all of them when it is None; a code's
-    decode resolves None to the ring size first, see
-    :meth:`DecoderConfig.for_ring`) and keeps the soft-cost minimum, the
-    first one in candidate order on a tie: (), then weight 1 in secondary
-    column order, then weight 2 in ``itertools.combinations`` order.
+    information set. Order 0 solves the restricted system exactly; OSD-CS
+    additionally tries all weight-1 and weight-2 flips within the first
+    ``osd_order`` secondary columns (m of them when it is None, m the number
+    of checks: the ring size of a GB code) and keeps the soft-cost minimum,
+    the first one in candidate order on a tie: (), then weight 1 in
+    secondary column order, then weight 2 in ``itertools.combinations``
+    order. ``osd_mode`` is not read here.
 
     Ranking, candidate tables and approximate costs are computed for the
     whole stack at once, the costs in blocks of at most 2^18 pivot bits;
@@ -218,13 +212,13 @@ def osd_postprocess(H, syndrome, soft, cfg: DecoderConfig) -> DecodeOutcome:
     is_piv = np.zeros((K, n), dtype=bool)
     is_piv[col, piv] = True
     nonpiv = np.nonzero(~is_piv)[1].reshape(K, n - rank)
-    w = n - rank if cfg.osd_order is None else min(cfg.osd_order, n - rank)
+    w = min(m if cfg.osd_order is None else cfg.osd_order, n - rank)
     T = nonpiv[:, :w]
 
     # candidate k of row i flips columns f1[i, k] and f2[i, k]; column n
     # stands for no flip
     f1 = f2 = np.full((K, 1), n)
-    if cfg.osd_mode == "sweep" and w > 0:
+    if w > 0:
         # pairs j1 < j2 in row-major order, which is combinations order
         j1, j2 = np.nonzero(np.arange(w)[:, None] < np.arange(w))
         f1 = np.hstack([f1, T, T[:, j1]])
@@ -290,8 +284,8 @@ def decode_batch(H, S, prior, cfg: DecoderConfig) -> np.ndarray:
     row that carries it, so a batch's zero syndromes cost one BP row and a
     repeated failing syndrome one OSD row. BP runs on every distinct
     syndrome; one OSD call on the stack of those whose BP hard decision
-    misses the syndrome (every one in ``always`` mode, none in ``off`` mode)
-    replaces their estimates. Returns the (B, n) estimates.
+    misses the syndrome (none in ``off`` mode; every one, at order 0, in
+    ``always`` mode) replaces their estimates. Returns the (B, n) estimates.
     """
     S = np.asarray(S, dtype=np.uint8) & 1
     # one packed byte key per row: np.unique on these keys costs a small
@@ -303,9 +297,11 @@ def decode_batch(H, S, prior, cfg: DecoderConfig) -> np.ndarray:
                                   return_inverse=True)
     U = S[first]
     hard, marg, conv, _ = bp_minsum_batch(H, U, prior, cfg)
-    if cfg.osd_mode != "off":
-        todo = np.flatnonzero(~conv | (cfg.osd_mode == "always"))
+    if cfg.osd_mode == "sweep":
+        todo = np.flatnonzero(~conv)
         hard[todo] = osd_postprocess(H, U[todo], marg[todo], cfg).estimate
+    elif cfg.osd_mode == "always":
+        hard = osd_postprocess(H, U, marg, replace(cfg, osd_order=0)).estimate
     return hard[inverse]
 
 
@@ -315,7 +311,7 @@ def decode(code, syndrome_x, syndrome_z, p, cfg: DecoderConfig | None = None):
     X errors are detected by H_Z (syndrome_z) and Z errors by H_X
     (syndrome_x); the sectors are decoded independently. Returns (ex, ez).
     """
-    cfg = (cfg or DecoderConfig()).for_ring(code.ell)
+    cfg = cfg or DecoderConfig()
     ex = decode_batch(code.hz, np.asarray(syndrome_z)[None, :], p, cfg)[0]
     ez = decode_batch(code.hx, np.asarray(syndrome_x)[None, :], p, cfg)[0]
     return ex, ez

@@ -229,13 +229,12 @@ def estimate_ler(code: CssCode, noise: NoiseModel, cfg: DecoderConfig,
         raise ValueError("batch must be at least 1")
     if code.lx is None or code.lz is None:
         raise ValueError("code needs a populated logical basis")
-    sector_cfg = cfg.for_ring(code.ell)
     done = 0
     failures = 0
     while done < trials:
         to_check = STOP_CHECK_TRIALS - done % STOP_CHECK_TRIALS
         count = min(batch, trials - done, to_check)
-        failures += _run_batch(code, noise, sector_cfg, seed, done, count)
+        failures += _run_batch(code, noise, cfg, seed, done, count)
         done += count
         if done % STOP_CHECK_TRIALS == 0:
             lo, hi = wilson_interval(failures, done)
@@ -320,6 +319,9 @@ def threshold_estimate(reports: list, label_a: str, label_b: str):
             err = _crossing_err(by_p_a[shared[i]], by_p_b[shared[i]],
                                 shared, i)
             return p_star, err
+    if diffs[-1] == 0:  # a tie at the last point, bracketed from below
+        p = shared[-1]
+        return p, _crossing_err(by_p_a[p], by_p_b[p], shared, len(shared) - 2)
     raise ValueError("no LER crossing inside the shared grid")
 
 

@@ -199,6 +199,9 @@ BAD_ARGV = [
      EXIT_USAGE),
     # a digit other than 0 or 1 is not read modulo 2
     (["decode", "--syndrome", "{digit2}", "--code", "{code}"], EXIT_USAGE),
+    # order 0 is --osd-order 0, not a mode of its own
+    (["decode", "--osd-mode", "order0", "--code", "{code}", "--syndrome",
+      "{syn}"], EXIT_USAGE),
     # flags act only on the subcommands that read them
     (["distance", "--threads", "8", "--code", "{code}"], EXIT_USAGE),
     (["search", "--format", "csv", "--ell", "3"], EXIT_USAGE),
@@ -253,6 +256,7 @@ def test_bad_input_gives_one_error_line_and_exit_code(tmp_path, capsys,
     assert rc == expected
     assert "Traceback" not in err
     assert "error: " in err.strip().splitlines()[-1]
+    assert err.count("error: ") == 1
     if expected == EXIT_IO:
         assert len(err.strip().splitlines()) == 1
 

@@ -14,6 +14,7 @@ from gbx.extension import extend_family, identity_plan
 from gbx.gf2mat import row_reduce
 from gbx.gf2poly import RingPoly, parse_ring_poly
 from gbx.scalable import TripleBlockPlan, build_triple_family
+from gbx.simulator import NoiseModel, _sample_batch, classify_failure
 
 
 def make_code():
@@ -84,7 +85,8 @@ def dense_minsum(H, syndromes, prior, cfg):
 def osd_reference(H, syndrome, soft, cfg):
     """Reference OSD estimate: the per-candidate loop the vectorized scoring
     replaced. Candidates are tried one at a time in candidate order, each
-    scored by its exact cost sum, and the first strict minimum is kept."""
+    scored by its exact cost sum, and the first strict minimum is kept.
+    osd_order=None sweeps the first m secondary columns, m = len(H)."""
     H = np.asarray(H, dtype=np.uint8) & 1
     m, n = H.shape
     s = np.asarray(syndrome, dtype=np.uint8) & 1
@@ -94,7 +96,7 @@ def osd_reference(H, syndrome, soft, cfg):
     A, b = R[:, :n], R[:, n]
     rank = len(piv_cols)
     nonpiv = [c for c in range(n) if c not in set(piv_cols)]
-    w = len(nonpiv) if cfg.osd_order is None else min(cfg.osd_order, len(nonpiv))
+    w = min(m if cfg.osd_order is None else cfg.osd_order, len(nonpiv))
 
     def assemble(t_cols):
         e = np.zeros(n, dtype=np.uint8)
@@ -106,10 +108,8 @@ def osd_reference(H, syndrome, soft, cfg):
             e[c] = rhs[i]
         return e
 
-    candidates = [()]
-    if cfg.osd_mode == "sweep" and w > 0:
-        candidates += [(c,) for c in nonpiv[:w]]
-        candidates += list(combinations(nonpiv[:w], 2))
+    candidates = ([()] + [(c,) for c in nonpiv[:w]]
+                  + list(combinations(nonpiv[:w], 2)))
     best_e = best_cost = None
     for t in candidates:
         e_perm = assemble(t)
@@ -139,6 +139,8 @@ def test_config_validation():
         DecoderConfig(osd_order=-1)
     with pytest.raises(ValueError):
         DecoderConfig(osd_mode="fancy")
+    with pytest.raises(ValueError):  # order 0 is osd_order=0
+        DecoderConfig(osd_mode="order0")
 
 
 def test_bp_zero_syndrome_returns_zero():
@@ -299,7 +301,7 @@ def test_osd_order0_solves_on_most_reliable_set():
     s = (code.hz @ e) % 2
     soft = np.full(10, 5.0)
     soft[3] = -5.0
-    out = osd_postprocess(code.hz, s, soft, DecoderConfig(osd_mode="order0"))
+    out = osd_postprocess(code.hz, s, soft, DecoderConfig(osd_order=0))
     assert np.array_equal(out.estimate, e)
 
 
@@ -319,10 +321,8 @@ def test_osd_sweep_never_worse_than_order0():
         e = (rng.random(10) < 0.3).astype(np.uint8)
         s = (code.hz @ e) % 2
         soft = rng.normal(size=10)
-        c0 = osd_postprocess(code.hz, s, soft,
-                             DecoderConfig(osd_mode="order0"))
-        cs = osd_postprocess(code.hz, s, soft,
-                             DecoderConfig(osd_mode="sweep", osd_order=10))
+        c0 = osd_postprocess(code.hz, s, soft, DecoderConfig(osd_order=0))
+        cs = osd_postprocess(code.hz, s, soft, DecoderConfig(osd_order=10))
         cost = lambda est: float(soft[est == 1].sum())
         assert cost(cs.estimate) <= cost(c0.estimate) + 1e-12
 
@@ -363,13 +363,11 @@ ROUNDING_TIE = (
 
 
 @settings(max_examples=400, deadline=None)
-@given(problem=osd_problems(),
-       mode=st.sampled_from(["order0", "sweep", "always"]),
-       order=st.one_of(st.none(), st.integers(0, 12)))
-@example(problem=ROUNDING_TIE, mode="sweep", order=None)
-def test_osd_matches_per_candidate_reference(problem, mode, order):
+@given(problem=osd_problems(), order=st.one_of(st.none(), st.integers(0, 12)))
+@example(problem=ROUNDING_TIE, order=None)
+def test_osd_matches_per_candidate_reference(problem, order):
     H, s, soft = problem
-    cfg = DecoderConfig(osd_mode=mode, osd_order=order)
+    cfg = DecoderConfig(osd_order=order)
     got = osd_postprocess(H, s, soft, cfg).estimate
     assert np.array_equal(got, osd_reference(H, s, soft, cfg))
 
@@ -403,14 +401,12 @@ def rounding_tie_stack():
 
 
 @settings(max_examples=300, deadline=None)
-@given(problem=osd_stacks(),
-       mode=st.sampled_from(["order0", "sweep", "always"]),
-       order=st.one_of(st.none(), st.integers(0, 12)))
-@example(problem=rounding_tie_stack(), mode="sweep", order=None)
-@example(problem=rounding_tie_stack(), mode="sweep", order=3)
-def test_osd_stack_matches_reference_row_by_row(problem, mode, order):
+@given(problem=osd_stacks(), order=st.one_of(st.none(), st.integers(0, 12)))
+@example(problem=rounding_tie_stack(), order=None)
+@example(problem=rounding_tie_stack(), order=3)
+def test_osd_stack_matches_reference_row_by_row(problem, order):
     H, S, soft = problem
-    cfg = DecoderConfig(osd_mode=mode, osd_order=order)
+    cfg = DecoderConfig(osd_order=order)
     out = osd_postprocess(H, S, soft, cfg)
     assert out.estimate.shape == S.shape[:1] + H.shape[1:]
     for i in range(len(S)):
@@ -441,6 +437,33 @@ def test_decode_sector_falls_back_to_osd():
     assert (~conv).sum() > 0
     assert np.array_equal(est[conv], hard[conv])
     assert ((hard[~conv] @ code.hz.T) % 2 != S[~conv]).any(axis=1).all()
+
+
+def test_always_mode_differs_from_order0_by_kernel_vectors():
+    # On converged rows `always` may trade BP's estimate for the order-0
+    # solution of the same syndrome. At triple n=90, p=0.01 that happens,
+    # every such pair differs by a vector of ker H, and it fails less often
+    # than order 0 on unconverged rows only (80 against 84 of 1024).
+    code = build_triple_family(TripleBlockPlan(make_code(), 3))[2]
+    EX, EZ = _sample_batch(code.n, NoiseModel(0.01), (1, 0), 0, 1024)
+    sectors = ((code.hz, EX), (code.hx, EZ))
+    est, failures = {}, {}
+    for mode in ("always", "sweep"):
+        cfg = DecoderConfig(osd_mode=mode, osd_order=0)
+        est[mode] = [decode_batch(H, (E @ H.T) % 2, 0.01, cfg)
+                     for H, E in sectors]
+        ex_hat, ez_hat = est[mode]
+        failures[mode] = classify_failure(code, EX ^ ex_hat,
+                                          EZ ^ ez_hat).sum()
+    differing = 0
+    for (H, E), a, b in zip(sectors, est["always"], est["sweep"]):
+        S = (E @ H.T) % 2
+        assert np.array_equal((a @ H.T) % 2, S)
+        assert np.array_equal((b @ H.T) % 2, S)
+        assert not (((a ^ b) @ H.T) % 2).any()
+        differing += (a != b).any(axis=1).sum()
+    assert differing > 0
+    assert failures["always"] <= failures["sweep"]
 
 
 def test_decode_full_code_weight_one_errors():
@@ -479,15 +502,13 @@ def gb_codes(draw, max_ell=8):
 
 @settings(max_examples=60, deadline=None)
 @given(code=gb_codes(), seed=st.integers(0, 2**32 - 1),
-       mode=st.sampled_from(["order0", "sweep"]),
        order=st.one_of(st.none(), st.integers(0, 6)))
-def test_osd_satisfies_random_reachable_syndromes(code, seed, mode, order):
+def test_osd_satisfies_random_reachable_syndromes(code, seed, order):
     rng = np.random.default_rng(seed)
     e = rng.integers(0, 2, size=code.n).astype(np.uint8)
     s = (code.hx @ e) % 2  # reachable by construction
     soft = rng.normal(size=code.n)
-    out = osd_postprocess(code.hx, s, soft,
-                          DecoderConfig(osd_mode=mode, osd_order=order))
+    out = osd_postprocess(code.hx, s, soft, DecoderConfig(osd_order=order))
     assert np.array_equal((code.hx @ out.estimate) % 2, s)
 
 
@@ -496,16 +517,14 @@ def test_osd_satisfies_random_reachable_syndromes(code, seed, mode, order):
        p=st.sampled_from([0.02, 0.1, 0.2]),
        cfg=st.builds(DecoderConfig, max_iter=st.integers(1, 12),
                      osd_order=st.one_of(st.none(), st.integers(0, 4)),
-                     osd_mode=st.sampled_from(
-                         ["off", "order0", "sweep", "always"])))
+                     osd_mode=st.sampled_from(["off", "sweep", "always"])))
 def test_decode_batch_rows_equal_single_decodes(code, seed, p, cfg):
     rng = np.random.default_rng(seed)
     EX = (rng.random((6, code.n)) < p).astype(np.uint8)
     EZ = (rng.random((6, code.n)) < p).astype(np.uint8)
     SZ, SX = (EX @ code.hz.T) % 2, (EZ @ code.hx.T) % 2
-    sector_cfg = cfg.for_ring(code.ell)
-    EX_hat = decode_batch(code.hz, SZ, p, sector_cfg)
-    EZ_hat = decode_batch(code.hx, SX, p, sector_cfg)
+    EX_hat = decode_batch(code.hz, SZ, p, cfg)
+    EZ_hat = decode_batch(code.hx, SX, p, cfg)
     for t in range(6):
         ex, ez = decode(code, SX[t], SZ[t], p, cfg)
         assert np.array_equal(ex, EX_hat[t])

@@ -34,11 +34,11 @@ CRITERION_13_CSV = (
 # trials, seed (7, 1)
 FAILURES = {
     (0.05, "off", None): 21, (0.05, "off", 2): 21,
-    (0.05, "order0", None): 20, (0.05, "order0", 2): 20,
+    (0.05, "sweep", 0): 20,
     (0.05, "sweep", None): 8, (0.05, "sweep", 2): 13,
     (0.05, "always", None): 20, (0.05, "always", 2): 20,
     (0.12, "off", None): 114, (0.12, "off", 2): 114,
-    (0.12, "order0", None): 105, (0.12, "order0", 2): 105,
+    (0.12, "sweep", 0): 105,
     (0.12, "sweep", None): 61, (0.12, "sweep", 2): 77,
     (0.12, "always", None): 105, (0.12, "always", 2): 105,
 }
@@ -90,13 +90,13 @@ def failure_counts() -> dict:
     code = gbx.extend_family(gbx.identity_plan(*base_pair(), 2))[1]
     out = {}
     for p in (0.05, 0.12):
-        for mode in ("off", "order0", "sweep", "always"):
-            for order in (None, 2):
-                cfg = gbx.DecoderConfig(osd_mode=mode, osd_order=order)
-                rep = gbx.estimate_ler(code, gbx.NoiseModel(p), cfg,
-                                       trials=300, precision=0.0,
-                                       seed=(7, 1), batch=128)
-                out[(p, mode, order)] = rep.failures
+        for mode, order in (("off", None), ("off", 2), ("sweep", 0),
+                            ("sweep", None), ("sweep", 2), ("always", None),
+                            ("always", 2)):
+            cfg = gbx.DecoderConfig(osd_mode=mode, osd_order=order)
+            rep = gbx.estimate_ler(code, gbx.NoiseModel(p), cfg, trials=300,
+                                   precision=0.0, seed=(7, 1), batch=128)
+            out[(p, mode, order)] = rep.failures
     return out
 
 
@@ -127,8 +127,8 @@ def decode_batch_digest() -> str:
             EX[t], EZ[t] = gbx.sample_error(
                 code.n, noise, gbx.simulator.trial_rng((1, i), t))
         SZ, SX = (EX @ code.hz.T) % 2, (EZ @ code.hx.T) % 2
-        for mode in ("order0", "sweep", "always"):
-            cfg = gbx.DecoderConfig(osd_mode=mode).for_ring(code.ell)
+        for mode, order in (("sweep", 0), ("sweep", None), ("always", None)):
+            cfg = gbx.DecoderConfig(osd_mode=mode, osd_order=order)
             for H, S in ((code.hz, SZ), (code.hx, SX)):
                 h.update(gbx.decode_batch(H, S, p, cfg).tobytes())
     return h.hexdigest()

@@ -313,6 +313,14 @@ def test_threshold_estimate_synthetic():
     p_star, err = threshold_estimate(reports, "a", "b")
     assert 0.10 < p_star < 0.11
     assert err > 0
+    # an exact tie is the crossing, at the first or the last shared point
+    for ler_a, ler_b, tie in [((0.20, 0.10), (0.20, 0.30), 0.1),
+                              ((0.10, 0.30), (0.20, 0.30), 0.2)]:
+        p_star, err = threshold_estimate(
+            [row("a", 0.1, ler_a[0]), row("a", 0.2, ler_a[1]),
+             row("b", 0.1, ler_b[0]), row("b", 0.2, ler_b[1])], "a", "b")
+        assert p_star == tie
+        assert err > 0
     with pytest.raises(ValueError):
         threshold_estimate([row("a", 0.1, 0.05), row("b", 0.1, 0.07)],
                            "a", "b")
