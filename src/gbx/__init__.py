@@ -7,13 +7,12 @@ from .code import (CssCode, WeightProfile, build_gb, code_from_dict,
 from .decoder import (DecodeOutcome, DecoderConfig, bp_minsum_batch, decode,
                       decode_batch, osd_postprocess)
 from .distance import (BudgetExceeded, DistanceResult, min_distance)
-from .extension import (ExtensionPlan, SparsityProfile, check_dim_lower_bound,
-                        dim_exact_coprime, extend_family, identity_plan,
-                        plan_from_dict, plan_from_json, plan_to_dict,
-                        shor_check_matrices, shor_sparsity, sparsity_profile)
+from .extension import (ExtensionPlan, SparsityProfile, extend_family,
+                        identity_plan, plan_from_dict, plan_from_json,
+                        plan_to_dict, sparsity_profile)
 from .gf2poly import (RingPoly, f2_degree, f2_gcd, f2_mul, f2_weight,
-                      format_poly, geometric_sum, parse_poly, parse_ring_poly,
-                      ring_reduce, x_pow_minus_one)
+                      format_poly, parse_poly, parse_ring_poly, ring_reduce,
+                      x_pow_minus_one)
 from .scalable import (ZeroInsertPlan, TripleBlockPlan, build_triple_family,
                        build_insertion_family, triple_extension_plan,
                        verify_embedding)

@@ -120,8 +120,12 @@ def cmd_catalog(args) -> int:
 def cmd_search(args) -> int:
     ler_screen = None
     if args.ler_screen:
-        p, max_ler = args.ler_screen.split(":")
-        ler_screen = (float(p), float(max_ler))
+        try:
+            p, max_ler = map(float, args.ler_screen.split(":"))
+        except ValueError:
+            raise ValueError("--ler-screen takes P:MAX_LER, not "
+                             f"{args.ler_screen!r}") from None
+        ler_screen = (p, max_ler)
     flt = SearchFilter(ell=args.ell, max_weight=args.max_weight,
                        require_distance=args.min_distance,
                        ler_screen=ler_screen,

@@ -130,6 +130,14 @@ def _rows_from_bitstrings(rows: list) -> np.ndarray:
     return np.array([[int(ch) for ch in r] for r in rows], dtype=np.uint8)
 
 
+def int_field(value, name: str) -> int:
+    """An integer field of an artifact; a non-integral number is refused
+    rather than truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return int(value)
+
+
 def code_to_dict(code: CssCode, embed_matrices: bool = False) -> dict:
     doc = {
         "ell": code.ell,
@@ -152,7 +160,7 @@ def code_from_dict(doc: dict) -> CssCode:
                if not isinstance(doc, dict) or key not in doc]
     if missing:
         raise KeyError(", ".join(missing))
-    ell = int(doc["ell"])
+    ell = int_field(doc["ell"], "ell")
     a = parse_ring_poly(doc["a"], ell)
     b = parse_ring_poly(doc["b"], ell)
     code = build_gb(a, b, label=doc.get("label", ""))
@@ -165,10 +173,10 @@ def code_from_dict(doc: dict) -> CssCode:
         if not np.array_equal(hz, code.hz):
             raise ValueError("embedded hz disagrees with the generators")
     if "d" in doc:
-        code.d = int(doc["d"])
-    if "n" in doc and int(doc["n"]) != code.n:
+        code.d = int_field(doc["d"], "d")
+    if "n" in doc and int_field(doc["n"], "n") != code.n:
         raise ValueError("inconsistent code length in document")
-    if "k" in doc and int(doc["k"]) != code.k:
+    if "k" in doc and int_field(doc["k"], "k") != code.k:
         raise ValueError("inconsistent code dimension in document")
     return code
 

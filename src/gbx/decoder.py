@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gf2mat import row_reduce
+from .gf2mat import rank_gf2, row_reduce
 
 LLR_CAP = 1e9  # stands in for +inf on degree-1 checks
 OSD_MODES = ("off", "sweep", "always")
@@ -64,7 +64,7 @@ def _prior_llr(prior, n: int) -> np.ndarray:
         p = np.full(n, float(p))
     if p.shape != (n,):
         raise ValueError("prior shape mismatch")
-    if np.any(p <= 0) or np.any(p > 0.5):
+    if not np.all((p > 0) & (p <= 0.5)):  # NaN fails both comparisons
         raise ValueError("prior error probabilities must lie in (0, 0.5]")
     return np.log((1.0 - p) / p)
 
@@ -194,21 +194,19 @@ def osd_postprocess(H, syndrome, soft, cfg: DecoderConfig) -> DecodeOutcome:
     order = np.argsort(llr, axis=1, kind="stable")  # most error-prone first
     lp = np.zeros((K, n + 1))  # entry n of each row: no flip, zero cost
     lp[:, :n] = llr[col, order]
-    # row i holds [H[:, order[i]] | s_i] transposed: one line per column
-    columns = np.concatenate([H.T[order], S[:, None, :]], axis=1)
-    for i, A in enumerate(columns):
-        R, p = row_reduce(A.T)
-        if p and p[-1] == n:
+    rank = rank_gf2(H)
+    piv = np.empty((K, rank), dtype=np.intp)
+    b = np.empty((K, rank), dtype=np.uint8)
+    # AT[i, c]: column c of row i's eliminated system in its pivot rows; the
+    # syndrome column n becomes "no flip"
+    AT = np.zeros((K, n + 1, rank), dtype=np.uint8)
+    A = np.empty((m, n + 1), dtype=np.uint8)  # row i's [H[:, order[i]] | s_i]
+    for i in range(K):
+        A[:, :n], A[:, n] = H[:, order[i]], S[i]
+        R, p = row_reduce(A)
+        if len(p) > rank:  # the syndrome column holds a pivot
             raise ValueError("syndrome is not in the column space of H")
-        if i == 0:  # every row has rank(H) pivots
-            rank = len(p)
-            piv = np.empty((K, rank), dtype=np.intp)
-            b = np.empty((K, rank), dtype=np.uint8)
-            # AT[i, c]: column c of row i's eliminated system in its pivot
-            # rows; the syndrome column n becomes "no flip"
-            AT = np.zeros((K, n + 1, rank), dtype=np.uint8)
         piv[i], b[i], AT[i, :n] = p, R[:rank, n], R[:rank, :n].T
-    del columns
     is_piv = np.zeros((K, n), dtype=bool)
     is_piv[col, piv] = True
     nonpiv = np.nonzero(~is_piv)[1].reshape(K, n - rank)

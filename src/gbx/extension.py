@@ -1,7 +1,6 @@
 """Extended GB code families: multiply the base generators by a polynomial
 sequence and enlarge the ring, keeping the dimension lower-bounded by the
-base code's. Also houses sparsity classification and the generalized-Shor
-sparsity reference.
+base code's. Also houses sparsity classification.
 """
 
 from __future__ import annotations
@@ -10,12 +9,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .code import CssCode, build_gb, weight_profile
-from .gf2poly import (RingPoly, f2_degree, f2_gcd, f2_mul, format_poly,
-                      geometric_sum, parse_poly, parse_ring_poly, ring_reduce,
-                      x_pow_minus_one)
+from .code import build_gb, int_field, weight_profile
+from .gf2poly import (RingPoly, f2_degree, f2_mul, format_poly, parse_poly,
+                      parse_ring_poly, ring_reduce)
 
 
 @dataclass
@@ -79,51 +75,6 @@ def extend_family(plan: ExtensionPlan, with_logicals: bool = True) -> list:
     return out
 
 
-def check_dim_lower_bound(family: list) -> tuple[bool, CssCode | None]:
-    """True iff every member has k >= k of the first member; otherwise the
-    first violating member is returned as witness."""
-    k1 = family[0].k
-    for code in family[1:]:
-        if code.k < k1:
-            return False, code
-    return True, None
-
-
-def dim_exact_coprime(plan: ExtensionPlan, m: int) -> int:
-    """Closed-form dimension of member m when p^(m) and gcd(a, b) are coprime.
-
-    Evaluates the four gcd-degree terms
-        k_m = 2 [ deg gcd(p, x^l - 1) + deg gcd(phi, x^l - 1)
-                + deg gcd(p, S) + deg gcd(phi, S) ],
-    phi = gcd(a, b), S = sum_{i<kappa_m} x^{il}. The factorization behind the
-    formula additionally needs x^l - 1 and S coprime (equivalently kappa_m
-    odd); we refuse otherwise. The result is always cross-checked against the
-    member's gcd dimension and a mismatch is a hard error.
-    """
-    if not 1 <= m <= plan.M:
-        raise ValueError("member index out of range")
-    ell = plan.ell
-    kappa = plan.kappa[m - 1]
-    p = plan.p_seq[m - 1]
-    phi = f2_gcd(plan.base_a.mask, plan.base_b.mask)
-    if f2_gcd(p, phi) != 1:
-        raise ValueError("p^(m) and gcd(a, b) are not coprime")
-    modulus = x_pow_minus_one(ell)
-    sigma = geometric_sum(ell, kappa)
-    if f2_gcd(modulus, sigma) != 1:
-        raise ValueError(
-            "x^l - 1 and sum x^{il} share a factor (kappa_m even); the "
-            "closed formula does not apply")
-    k = 2 * (f2_degree(f2_gcd(p, modulus)) + f2_degree(f2_gcd(phi, modulus))
-             + f2_degree(f2_gcd(p, sigma)) + f2_degree(f2_gcd(phi, sigma)))
-    member = extend_family(plan, with_logicals=False)[m - 1]
-    if k != member.k:
-        raise AssertionError(
-            f"closed-form dimension {k} disagrees with gcd dimension "
-            f"{member.k} for member {m}")
-    return k
-
-
 # ---------------------------------------------------------------------------
 # sparsity
 
@@ -166,34 +117,6 @@ def sparsity_profile(family: list) -> SparsityProfile:
     return SparsityProfile(q_r, q_c, "other")
 
 
-def shor_sparsity(d: int) -> tuple[Fraction, Fraction]:
-    """Row/column density (2/d, 4/d^2) of the [[d^2, 1, d]] generalized Shor
-    code, the O(1/m)-sparse reference family."""
-    if d < 3 or d % 2 == 0:
-        raise ValueError("d must be an odd integer >= 3")
-    return Fraction(2, d), Fraction(4, d * d)
-
-
-def shor_check_matrices(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Explicit stabilizer generators of the generalized Shor code:
-    weight-2 Z checks within each block of d qubits, weight-2d X checks
-    across adjacent blocks."""
-    if d < 3 or d % 2 == 0:
-        raise ValueError("d must be an odd integer >= 3")
-    n = d * d
-    hz = np.zeros((d * (d - 1), n), dtype=np.uint8)
-    r = 0
-    for i in range(d):
-        for t in range(d - 1):
-            hz[r, d * i + t] = 1
-            hz[r, d * i + t + 1] = 1
-            r += 1
-    hx = np.zeros((d - 1, n), dtype=np.uint8)
-    for j in range(d - 1):
-        hx[j, d * j: d * j + 2 * d] = 1
-    return hx, hz
-
-
 # ---------------------------------------------------------------------------
 # plan serialization and presets
 
@@ -209,12 +132,12 @@ def plan_to_dict(plan: ExtensionPlan) -> dict:
 
 
 def plan_from_dict(doc: dict) -> ExtensionPlan:
-    ell = int(doc["base"]["ell"])
+    ell = int_field(doc["base"]["ell"], "ell")
     a = parse_ring_poly(doc["base"]["a"], ell)
     b = parse_ring_poly(doc["base"]["b"], ell)
     return ExtensionPlan(
-        base_a=a, base_b=b, M=int(doc["M"]),
-        kappa=tuple(int(k) for k in doc["kappa"]),
+        base_a=a, base_b=b, M=int_field(doc["M"], "M"),
+        kappa=tuple(int_field(k, "kappa") for k in doc["kappa"]),
         p_seq=tuple(parse_poly(p) for p in doc["p_seq"]))
 
 

@@ -39,21 +39,14 @@ def f2_mul(u: int, v: int) -> int:
     return out
 
 
-def f2_divmod(u: int, v: int) -> tuple[int, int]:
-    """Quotient and remainder of u by v in F2[x]."""
+def f2_mod(u: int, v: int) -> int:
+    """Remainder of u by v in F2[x]."""
     if v == 0:
         raise ZeroDivisionError("division by the zero polynomial")
-    dv = v.bit_length() - 1
-    q = 0
-    while u.bit_length() - 1 >= dv and u:
-        shift = (u.bit_length() - 1) - dv
-        q ^= 1 << shift
-        u ^= v << shift
-    return q, u
-
-
-def f2_mod(u: int, v: int) -> int:
-    return f2_divmod(u, v)[1]
+    dv = v.bit_length()
+    while u.bit_length() >= dv:
+        u ^= v << (u.bit_length() - dv)
+    return u
 
 
 def f2_gcd(*polys: int) -> int:
@@ -76,14 +69,6 @@ def f2_gcd(*polys: int) -> int:
 def x_pow_minus_one(ell: int) -> int:
     """The modulus x^l + 1 (== x^l - 1 over F2) as a plain polynomial."""
     return (1 << ell) | 1
-
-
-def geometric_sum(ell: int, kappa: int) -> int:
-    """sum_{i=0}^{kappa-1} x^{i*l} as a plain polynomial."""
-    out = 0
-    for i in range(kappa):
-        out |= 1 << (i * ell)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -132,38 +117,48 @@ def ring_reduce(mask: int, ring_dim: int) -> int:
 # ---------------------------------------------------------------------------
 # text format: "1+x+x^4" monomial sums, or bit strings "11001"
 
-def parse_poly(text: str) -> int:
-    """Parse a plain polynomial from monomial or bit-string form."""
+def _exponents(text: str) -> list:
+    """Exponents of the terms of a polynomial in monomial or bit-string form,
+    one entry per term."""
     s = text.strip().lower().replace(" ", "")
     if not s:
         raise ValueError("empty polynomial")
     if len(s) > 1 and set(s) <= {"0", "1"}:
         # bit string, index i = coefficient of x^i
-        mask = 0
-        for i, ch in enumerate(s):
-            if ch == "1":
-                mask |= 1 << i
-        return mask
+        return [i for i, ch in enumerate(s) if ch == "1"]
     if s == "0":
-        return 0
-    mask = 0
+        return []
+    out = []
     for term in s.split("+"):
         if term == "1":
-            mask ^= 1
+            out.append(0)
         elif term == "x":
-            mask ^= 2
+            out.append(1)
         elif term.startswith("x^"):
             e = int(term[2:])
             if e < 0:
                 raise ValueError(f"negative exponent in {text!r}")
-            mask ^= 1 << e
+            out.append(e)
         else:
             raise ValueError(f"cannot parse polynomial term {term!r}")
+    return out
+
+
+def parse_poly(text: str) -> int:
+    """Parse a plain polynomial from monomial or bit-string form."""
+    mask = 0
+    for e in _exponents(text):
+        mask ^= 1 << e
     return mask
 
 
 def parse_ring_poly(text: str, ring_dim: int) -> RingPoly:
-    mask = ring_reduce(parse_poly(text), ring_dim)
+    """Parse a ring element, folding each exponent mod ring_dim as it is
+    read, so that no mask wider than the ring is built."""
+    ring_dim = RingPoly(0, ring_dim).ring_dim  # a plain int, checked positive
+    mask = 0
+    for e in _exponents(text):
+        mask ^= 1 << (e % ring_dim)
     return RingPoly.from_mask(mask, ring_dim)
 
 

