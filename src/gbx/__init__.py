@@ -2,14 +2,14 @@
 decoding, and logical-error-rate estimation."""
 
 from .code import (CssCode, WeightProfile, build_gb, code_from_dict,
-                   code_from_json, code_to_dict, code_to_json, dimension_gcd,
-                   logical_basis, to_alist, weight_profile)
+                   code_to_dict, dimension_gcd, logical_basis, to_alist,
+                   weight_profile)
 from .decoder import (DecodeOutcome, DecoderConfig, bp_minsum_batch, decode,
                       decode_batch, osd_postprocess)
 from .distance import (BudgetExceeded, DistanceResult, min_distance)
 from .extension import (ExtensionPlan, SparsityProfile, extend_family,
-                        identity_plan, plan_from_dict, plan_from_json,
-                        plan_to_dict, sparsity_profile)
+                        identity_plan, plan_from_dict, plan_to_dict,
+                        sparsity_profile)
 from .gf2poly import (RingPoly, f2_degree, f2_gcd, f2_mul, f2_weight,
                       format_poly, parse_poly, parse_ring_poly, ring_reduce,
                       x_pow_minus_one)

@@ -11,18 +11,18 @@ command line or an invalid argument value). Every error prints one
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
 
 import numpy as np
 
-from .code import (build_gb, code_from_json, code_to_dict, code_to_json,
-                   to_alist)
+from .code import build_gb, code_from_dict, code_to_dict, to_alist
 from .decoder import OSD_MODES, DecoderConfig, decode
 from .distance import BudgetExceeded, min_distance
 from .extension import (ExtensionPlan, extend_family, identity_plan,
-                        plan_from_json, plan_to_dict, sparsity_profile)
+                        plan_from_dict, plan_to_dict, sparsity_profile)
 from .gf2poly import parse_ring_poly
 from .scalable import (ZeroInsertPlan, TripleBlockPlan, build_triple_family,
                        build_insertion_family, triple_extension_plan,
@@ -36,6 +36,8 @@ EXIT_EMPTY = 2
 EXIT_BUDGET = 3
 EXIT_IO = 4
 EXIT_USAGE = 5
+
+MAX_GRID_POINTS = 10_000  # sweep refuses a longer --p-min..--p-max grid
 
 
 def _emit(text: str, out_path):
@@ -61,6 +63,11 @@ def _read(path, parse):
         raise _ArtifactError(f"{path}: artifact lacks {exc.args[0]}") from None
     except (ValueError, TypeError, AttributeError, IndexError) as exc:
         raise _ArtifactError(f"{path}: {exc}") from None
+
+
+def _read_json(path, from_dict):
+    """from_dict(the JSON document in the file at `path`), via _read."""
+    return _read(path, lambda text: from_dict(json.loads(text)))
 
 
 def _family_json(family) -> str:
@@ -96,9 +103,9 @@ def cmd_build(args) -> int:
     if args.with_distance:
         code.d = min_distance(code).d
     if args.alist:
-        with open(args.alist, "w") as fh:
-            fh.write(to_alist(np.vstack([code.hx, code.hz])))
-    _emit(code_to_json(code, embed_matrices=args.embed_matrices), args.out)
+        _emit(to_alist(np.vstack([code.hx, code.hz])), args.alist)
+    _emit(json.dumps(code_to_dict(code, embed_matrices=args.embed_matrices),
+                     indent=2), args.out)
     return EXIT_OK
 
 
@@ -149,10 +156,10 @@ def cmd_search(args) -> int:
 
 def _plan_from_args(args, members: int) -> ExtensionPlan:
     if args.plan:
-        return _read(args.plan, plan_from_json)
+        return _read_json(args.plan, plan_from_dict)
     if not args.base:
         raise ValueError("need --plan or --base")
-    base = _read(args.base, code_from_json)
+    base = _read_json(args.base, code_from_dict)
     if args.preset == "identity":
         return identity_plan(base.a, base.b, members)
     return triple_extension_plan(base, members)
@@ -175,7 +182,7 @@ def cmd_extend(args) -> int:
 
 
 def cmd_scale3(args) -> int:
-    base = _read(args.base, code_from_json)
+    base = _read_json(args.base, code_from_dict)
     family = build_triple_family(TripleBlockPlan(base, args.levels))
     certs = []
     for small, large in zip(family, family[1:]):
@@ -191,14 +198,14 @@ def cmd_scale3(args) -> int:
 
 
 def cmd_scale4(args) -> int:
-    base = _read(args.base, code_from_json)
+    base = _read_json(args.base, code_from_dict)
     family = build_insertion_family(ZeroInsertPlan(base, args.levels, args.j, args.r))
     _emit(_family_json(family), args.out)
     return EXIT_OK
 
 
 def cmd_distance(args) -> int:
-    code = _read(args.code, code_from_json)
+    code = _read_json(args.code, code_from_dict)
     res = min_distance(code, cap=args.cap)
     n = code.n
     sympl = np.zeros(2 * n, dtype=np.uint8)
@@ -214,12 +221,12 @@ def cmd_distance(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    code = _read(args.code, code_from_json)
+    code = _read_json(args.code, code_from_dict)
     lines = _read(args.syndrome, _syndrome_lines)
     s_x, s_z = _bits(lines[0]), _bits(lines[1])  # a bad digit: usage error
-    ex, ez = decode(code, s_x, s_z, args.p, _decoder_config(args))
-    _emit("ex: " + "".join(map(str, ex.tolist())) + "\n"
-          "ez: " + "".join(map(str, ez.tolist())), args.out)
+    EX, EZ = decode(code, s_x[None], s_z[None], args.p, _decoder_config(args))
+    _emit("ex: " + "".join(map(str, EX[0].tolist())) + "\n"
+          "ez: " + "".join(map(str, EZ[0].tolist())), args.out)
     return EXIT_OK
 
 
@@ -234,19 +241,32 @@ def _parse_members(spec: str) -> list:
     return idx
 
 
-def cmd_sweep(args) -> int:
-    if not (math.isfinite(args.p_step) and args.p_step > 0):
+def _p_grid(p_min: float, p_max: float, p_step: float) -> list:
+    """p_min, p_min + p_step, ... up to p_max with 1e-12 slack, each
+    rounded to 12 decimals; empty when p_max < p_min. Steps are added one
+    at a time, which fixes each point's rounding and so the CSV. The count
+    comes first, so a step too small to move p is refused, not looped on."""
+    for flag, p in (("--p-min", p_min), ("--p-max", p_max)):
+        if not (math.isfinite(p) and 0 <= p <= 1):
+            raise ValueError(f"{flag} must be finite and lie in [0, 1]")
+    if not (math.isfinite(p_step) and p_step > 0):
         raise ValueError("--p-step must be positive and finite")
+    steps = (p_max - p_min + 1e-12) / p_step
+    if steps >= MAX_GRID_POINTS:
+        raise ValueError(f"--p-step gives more than {MAX_GRID_POINTS} grid "
+                         "points")
+    points = itertools.accumulate(itertools.repeat(p_step), initial=p_min)
+    count = max(math.floor(steps) + 1, 0)
+    return [round(p, 12) for p in itertools.islice(points, count)]
+
+
+def cmd_sweep(args) -> int:
+    grid = _p_grid(args.p_min, args.p_max, args.p_step)
     members = _parse_members(args.members)
     family = extend_family(_plan_from_args(args, max(members)))
     if max(members) > len(family):  # a --plan file fixes the family size
         raise ValueError("member index out of range")
     family = [family[i - 1] for i in members]
-    grid = []
-    p = args.p_min
-    while p <= args.p_max + 1e-12:
-        grid.append(round(p, 12))
-        p += args.p_step
     reports = sweep(family, grid, _decoder_config(args), trials=args.trials,
                     precision=args.precision, seed=args.seed,
                     threads=args.threads)
@@ -267,8 +287,7 @@ def cmd_report(args) -> int:
         lines.append(f"threshold {pair}: {p_star:.4g} +- {err:.2g}")
     _emit("\n".join(lines), None)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(reports_to_csv(doc["reports"]))
+        _emit(reports_to_csv(doc["reports"]), args.out)
     return EXIT_OK
 
 

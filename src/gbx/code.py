@@ -8,7 +8,6 @@ circulants commute.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,14 +178,6 @@ def code_from_dict(doc: dict) -> CssCode:
     if "k" in doc and int_field(doc["k"], "k") != code.k:
         raise ValueError("inconsistent code dimension in document")
     return code
-
-
-def code_to_json(code: CssCode, embed_matrices: bool = False) -> str:
-    return json.dumps(code_to_dict(code, embed_matrices), indent=2)
-
-
-def code_from_json(text: str) -> CssCode:
-    return code_from_dict(json.loads(text))
 
 
 def to_alist(M: np.ndarray) -> str:

@@ -303,13 +303,11 @@ def decode_batch(H, S, prior, cfg: DecoderConfig) -> np.ndarray:
     return hard[inverse]
 
 
-def decode(code, syndrome_x, syndrome_z, p, cfg: DecoderConfig | None = None):
-    """Two-sector CSS decode of one syndrome pair: a batch of one.
+def decode(code, SX, SZ, p, cfg: DecoderConfig):
+    """Two-sector CSS decode of (B, l) syndrome stacks; a single pair is a
+    stack of one.
 
-    X errors are detected by H_Z (syndrome_z) and Z errors by H_X
-    (syndrome_x); the sectors are decoded independently. Returns (ex, ez).
+    X errors are detected by H_Z (SZ) and Z errors by H_X (SX); the sectors
+    are decoded independently. Returns the (B, n) stacks (EX, EZ).
     """
-    cfg = cfg or DecoderConfig()
-    ex = decode_batch(code.hz, np.asarray(syndrome_z)[None, :], p, cfg)[0]
-    ez = decode_batch(code.hx, np.asarray(syndrome_x)[None, :], p, cfg)[0]
-    return ex, ez
+    return decode_batch(code.hz, SZ, p, cfg), decode_batch(code.hx, SX, p, cfg)

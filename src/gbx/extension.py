@@ -5,7 +5,6 @@ base code's. Also houses sparsity classification.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,7 +24,6 @@ class ExtensionPlan:
 
     base_a: RingPoly
     base_b: RingPoly
-    M: int
     kappa: tuple
     p_seq: tuple  # plain polynomial masks
 
@@ -33,8 +31,8 @@ class ExtensionPlan:
         ell = self.base_a.ring_dim
         if self.base_b.ring_dim != ell:
             raise ValueError("base generators live in different rings")
-        if self.M < 1 or len(self.kappa) != self.M or len(self.p_seq) != self.M:
-            raise ValueError("kappa and p_seq must both have M entries")
+        if not self.kappa or len(self.p_seq) != len(self.kappa):
+            raise ValueError("kappa and p_seq must have equal nonzero length")
         if self.kappa[0] != 1:
             raise ValueError("kappa_1 must be 1")
         if self.p_seq[0] != 1:
@@ -43,29 +41,24 @@ class ExtensionPlan:
             raise ValueError("kappa must be strictly increasing")
         if any(int(k) != k or k < 1 for k in self.kappa):
             raise ValueError("kappa entries must be positive integers")
-        for m in range(1, self.M):
-            deg = f2_degree(self.p_seq[m])
-            if self.p_seq[m] == 0:
+        for m, (kappa, p) in enumerate(zip(self.kappa, self.p_seq), start=1):
+            if p == 0:
                 raise ValueError("p^(m) must be nonzero")
-            if deg > (self.kappa[m] - 1) * ell:
+            if f2_degree(p) > (kappa - 1) * ell:
                 raise ValueError(
-                    f"p^({m + 1}) exceeds the degree bound (kappa_m - 1) * ell")
+                    f"p^({m}) exceeds the degree bound (kappa_m - 1) * ell")
 
     @property
     def ell(self) -> int:
         return self.base_a.ring_dim
 
-    def member_ring(self, m: int) -> int:
-        """Ring dimension of member m (1-based)."""
-        return self.kappa[m - 1] * self.ell
-
 
 def extend_family(plan: ExtensionPlan, with_logicals: bool = True) -> list:
-    """Construct all M member codes; member 1 equals the base code."""
+    """Construct one member code per kappa entry; member 1 equals the base
+    code."""
     out = []
-    for m in range(1, plan.M + 1):
-        ell_m = plan.member_ring(m)
-        p = plan.p_seq[m - 1]
+    for m, (kappa, p) in enumerate(zip(plan.kappa, plan.p_seq), start=1):
+        ell_m = kappa * plan.ell
         a_m = RingPoly.from_mask(
             ring_reduce(f2_mul(p, plan.base_a.mask), ell_m), ell_m)
         b_m = RingPoly.from_mask(
@@ -125,7 +118,7 @@ def plan_to_dict(plan: ExtensionPlan) -> dict:
         "base": {"a": format_poly(plan.base_a.mask),
                  "b": format_poly(plan.base_b.mask),
                  "ell": plan.ell},
-        "M": plan.M,
+        "M": len(plan.kappa),
         "kappa": list(plan.kappa),
         "p_seq": [format_poly(p) for p in plan.p_seq],
     }
@@ -135,18 +128,16 @@ def plan_from_dict(doc: dict) -> ExtensionPlan:
     ell = int_field(doc["base"]["ell"], "ell")
     a = parse_ring_poly(doc["base"]["a"], ell)
     b = parse_ring_poly(doc["base"]["b"], ell)
-    return ExtensionPlan(
-        base_a=a, base_b=b, M=int_field(doc["M"], "M"),
-        kappa=tuple(int_field(k, "kappa") for k in doc["kappa"]),
-        p_seq=tuple(parse_poly(p) for p in doc["p_seq"]))
-
-
-def plan_from_json(text: str) -> ExtensionPlan:
-    return plan_from_dict(json.loads(text))
+    M = int_field(doc["M"], "M")
+    kappa = tuple(int_field(k, "kappa") for k in doc["kappa"])
+    p_seq = tuple(parse_poly(p) for p in doc["p_seq"])
+    if M < 1 or len(kappa) != M or len(p_seq) != M:
+        raise ValueError("kappa and p_seq must both have M entries")
+    return ExtensionPlan(base_a=a, base_b=b, kappa=kappa, p_seq=p_seq)
 
 
 def identity_plan(a: RingPoly, b: RingPoly, M: int) -> ExtensionPlan:
     """kappa_m = m, p^(m) = 1: the constant-weight qLDPC family."""
-    return ExtensionPlan(base_a=a, base_b=b, M=M,
+    return ExtensionPlan(base_a=a, base_b=b,
                          kappa=tuple(range(1, M + 1)),
                          p_seq=(1,) * M)

@@ -74,8 +74,8 @@ def triple_extension_plan(base: CssCode, M: int) -> ExtensionPlan:
             p_k = (1 << (3 ** (k - 1) * ell)) | 1  # 1 + x^{l_k}
             p = f2_mul(p, p_k)  # degree stays below (kappa_m - 1) * ell + 1
         p_seq.append(p)
-    return ExtensionPlan(base_a=base.a, base_b=base.b, M=M,
-                         kappa=tuple(kappa), p_seq=tuple(p_seq))
+    return ExtensionPlan(base_a=base.a, base_b=base.b, kappa=tuple(kappa),
+                         p_seq=tuple(p_seq))
 
 
 def _permute_block_columns(M: np.ndarray, block: int, perm: dict) -> np.ndarray:

@@ -71,14 +71,12 @@ def search_base_codes(flt: SearchFilter, seed: int = 0
                 b = RingPoly.from_mask(bm, ell)
             d = None
             if flt.require_distance is not None:
-                # the distance needs no logical basis; the LER screen does
-                res = min_distance(build_gb(a, b, with_logicals=False),
-                                   cap=flt.require_distance)
-                d = res.d
+                # the distance needs no logical basis; the LER screen does.
+                # The cap ends the walk early only below it: a kept d is exact
+                d = min_distance(build_gb(a, b, with_logicals=False),
+                                 cap=flt.require_distance).d
                 if d < flt.require_distance:
                     continue
-                if not res.exact:
-                    d = None  # cap hit; weight below cap would have failed
             ler = None
             if flt.ler_screen is not None:
                 p, max_ler = flt.ler_screen

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .code import CssCode
-from .decoder import DecoderConfig, decode_batch
+from .decoder import DecoderConfig, decode
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 STOP_CHECK_TRIALS = 1024  # early stopping is tested at multiples of this
@@ -209,9 +209,7 @@ def _run_batch(code: CssCode, noise: NoiseModel, cfg: DecoderConfig,
     EX, EZ = _sample_batch(code.n, noise, seed, start, count)
     SZ = (EX @ code.hz.T) % 2
     SX = (EZ @ code.hx.T) % 2
-    p_dec = _decoder_prior(noise.p)
-    EX_hat = decode_batch(code.hz, SZ, p_dec, cfg)
-    EZ_hat = decode_batch(code.hx, SX, p_dec, cfg)
+    EX_hat, EZ_hat = decode(code, SX, SZ, _decoder_prior(noise.p), cfg)
     return int(classify_failure(code, EX ^ EX_hat, EZ ^ EZ_hat).sum())
 
 

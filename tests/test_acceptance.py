@@ -89,7 +89,7 @@ def test_criterion_05_dimension_lower_bound_200_plans():
         for m in range(1, M):
             bound = (kappa[m] - 1) * ell
             p_seq.append(int(rng.integers(1, 1 << (bound + 1))) if bound else 1)
-        plan = gbx.ExtensionPlan(a, b, M, tuple(kappa), tuple(p_seq))
+        plan = gbx.ExtensionPlan(a, b, tuple(kappa), tuple(p_seq))
         fam = gbx.extend_family(plan, with_logicals=False)
         violations += any(c.k < fam[0].k for c in fam)
         checked += 1
@@ -114,7 +114,7 @@ def test_criterion_06_closed_form_dimension_100_plans():
         p = int(rng.integers(1, 1 << (bound + 1)))
         if gbx.f2_gcd(p, gbx.f2_gcd(a.mask, b.mask)) != 1:
             continue
-        plan = gbx.ExtensionPlan(a, b, 2, (1, kappa), (1, p))
+        plan = gbx.ExtensionPlan(a, b, (1, kappa), (1, p))
         k = dim_exact_coprime(plan, 2)
         member = gbx.extend_family(plan, with_logicals=False)[1]
         if not k == member.k == dimension_rank(member):
@@ -189,7 +189,8 @@ def test_criterion_10_decoder_soundness_weight_le_1():
     for ex, ez in cases:
         s_z = (code.hz @ ex) % 2
         s_x = (code.hx @ ez) % 2
-        ex_hat, ez_hat = gbx.decode(code, s_x, s_z, 0.01, cfg)
+        (ex_hat,), (ez_hat,) = gbx.decode(code, s_x[None], s_z[None], 0.01,
+                                          cfg)
         if (not np.array_equal((code.hz @ ex_hat) % 2, s_z)
                 or not np.array_equal((code.hx @ ez_hat) % 2, s_x)):
             unsatisfied += 1

@@ -6,7 +6,7 @@ import pytest
 
 from gbx.cli import (EXIT_BUDGET, EXIT_EMPTY, EXIT_IO, EXIT_OK, EXIT_USAGE,
                      main)
-from gbx.code import code_from_json, code_to_json
+from gbx.code import code_from_dict, code_to_dict
 from gbx.scalable import TripleBlockPlan, build_triple_family
 from gbx.simulator import CSV_COLUMNS
 
@@ -45,6 +45,11 @@ def test_catalog_formats(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "label,ell,a,b,n,k,d"
     assert len(lines) == 7
+    assert main(["catalog", "--format", "json"]) == EXIT_OK
+    docs = json.loads(capsys.readouterr().out)
+    assert [(c["label"], c["n"], c["k"], c["d"]) for c in docs][::5] == [
+        ("[[10,2,3]]", 10, 2, 3), ("[[20,2]]", 20, 2, 4)]
+    assert len(docs) == 6
 
 
 def test_search_counts_and_empty_exit(tmp_path, capsys):
@@ -56,6 +61,21 @@ def test_search_counts_and_empty_exit(tmp_path, capsys):
     rc = main(["search", "--ell", "3", "--min-distance", "9"])
     capsys.readouterr()
     assert rc == EXIT_EMPTY
+
+
+def test_search_screens(capsys):
+    # weight screen: every k > 0 pair at l = 3 has row weight 4 or more
+    assert main(["search", "--ell", "3", "--max-weight", "3"]) == EXIT_EMPTY
+    # distance screen: the [[10,2,3]] generators pass with d = 3
+    assert main(["search", "--ell", "5", "--min-distance", "3"]) == EXIT_OK
+    assert "1+x^4,1+x+x^2+x^4,10,2,6,3," in capsys.readouterr().out
+    # LER screen: every hit carries its estimate; LER < 0 passes no pair
+    assert main(["search", "--ell", "3", "--trials", "64",
+                 "--ler-screen", "0.05:0.5"]) == EXIT_OK
+    hits = capsys.readouterr().out.splitlines()[2:]
+    assert hits and all(h.split(",")[6] for h in hits)
+    assert main(["search", "--ell", "3", "--trials", "64",
+                 "--ler-screen", "0.05:0"]) == EXIT_EMPTY
 
 
 def test_search_json_format(tmp_path):
@@ -162,6 +182,38 @@ def test_sweep_and_report(tmp_path, capsys):
     assert rc == EXIT_IO
 
 
+def test_sweep_member_list(tmp_path):
+    path = build_code_file(tmp_path)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--base", str(path), "--members", "1,3"]
+                + SWEEP_GRID + ["--out", str(out)]) == EXIT_OK
+    labels = [row.split('"')[1] for row in out.read_text().splitlines()[1:]]
+    assert labels == ["m=1,l=5", "m=3,l=15"]
+
+
+def test_report_breakeven_and_threshold(tmp_path, capsys):
+    # A dips below p between p = 0.1 and 0.2 and crosses B between 0.2 and
+    # 0.3; B never dips below p
+    rows = [("A", 0.1, 0.2), ("A", 0.2, 0.15), ("A", 0.3, 0.4),
+            ("B", 0.1, 0.3), ("B", 0.2, 0.25), ("B", 0.3, 0.35)]
+    half = {"A": 0.01, "B": 0.02}
+    csv = tmp_path / "synthetic.csv"
+    csv.write_text(",".join(CSV_COLUMNS) + "\n" + "".join(
+        f"{lab},10,2,{p},100,{round(100 * ler)},{ler},{ler - half[lab]},"
+        f"{ler + half[lab]},0\n" for lab, p, ler in rows))
+    assert main(["report", str(csv)]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "code_label breakeven_PER"
+    # margins ler - p: +0.1 at 0.1, -0.05 at 0.2, so 0.1 + 0.1 * 0.1 / 0.15
+    label, be = lines[1].split()
+    assert label == "A" and float(be) == pytest.approx(0.1 + 0.1 / 1.5)
+    assert lines[2] == "B none"
+    # LER differences -0.1 at 0.2 and +0.05 at 0.3: 0.2 + 0.1 * 0.1 / 0.15;
+    # error 0.1 * (0.01 + 0.02) / |0.15 - 0.25|
+    p_star, err = 0.2 + 0.1 / 1.5, 0.1 * 0.03 / 0.1
+    assert lines[3:] == [f"threshold A vs B: {p_star:.4g} +- {err:.2g}"]
+
+
 def test_missing_artifact_is_io_error(tmp_path, capsys):
     rc = main(["distance", "--code", str(tmp_path / "nope.json")])
     capsys.readouterr()
@@ -228,6 +280,31 @@ BAD_ARGV = [
      EXIT_USAGE),
     (["search", "--ler-screen", "0.1", "--ell", "3"], EXIT_USAGE,
      "P:MAX_LER"),
+    (["report", "{header_only}"], EXIT_IO, "no rows"),
+    # grid ends outside [0, 1] or too many points (a step too small to move
+    # p would loop forever) are refused before the grid is built
+    (["sweep", "--base", "{code}", "--p-min", "nan", "--p-max", "0.1",
+      "--p-step", "0.01"], EXIT_USAGE,
+     "--p-min must be finite and lie in [0, 1]"),
+    (["sweep", "--base", "{code}", "--p-min", "-0.1", "--p-max", "0.1",
+      "--p-step", "0.01"], EXIT_USAGE,
+     "--p-min must be finite and lie in [0, 1]"),
+    (["sweep", "--base", "{code}", "--p-min", "0.1", "--p-max", "inf",
+      "--p-step", "0.01"], EXIT_USAGE,
+     "--p-max must be finite and lie in [0, 1]"),
+    (["sweep", "--base", "{code}", "--p-min", "0.9", "--p-max", "1.5",
+      "--p-step", "0.5"], EXIT_USAGE,
+     "--p-max must be finite and lie in [0, 1]"),
+    (["sweep", "--base", "{code}", "--p-min", "0.1", "--p-max", "0.1",
+      "--p-step", "1e-300"], EXIT_USAGE, "--p-step gives more than"),
+    # a plan's "M" must be there and count its kappa entries
+    (["sweep", "--plan", "{plan_m3}"] + SWEEP_GRID, EXIT_IO,
+     "plan_m3: kappa and p_seq must both have M entries"),
+    (["sweep", "--plan", "{plan_no_m}"] + SWEEP_GRID, EXIT_IO,
+     "plan_no_m: artifact lacks M"),
+    # a plan file fixes the family size
+    (["sweep", "--plan", "{plan2}", "--members", "1..3"] + SWEEP_GRID,
+     EXIT_USAGE, "member index out of range"),
 ]
 
 
@@ -239,10 +316,10 @@ BAD_ARGV = [
 def test_bad_input_gives_one_error_line_and_exit_code(tmp_path, capsys,
                                                        argv, expected, says):
     code = build_code_file(tmp_path)
-    base = code_from_json(code.read_text())
+    base = code_from_dict(json.loads(code.read_text()))
     big = tmp_path / "big.json"  # triple member n=90: kernel dimension 60
-    big.write_text(code_to_json(build_triple_family(
-        TripleBlockPlan(base, 3))[2]))
+    big.write_text(json.dumps(code_to_dict(build_triple_family(
+        TripleBlockPlan(base, 3))[2])))
     syn = tmp_path / "syn.txt"
     syn.write_text("00000\n01100\n")
     digit2 = tmp_path / "digit2.txt"
@@ -263,7 +340,14 @@ def test_bad_input_gives_one_error_line_and_exit_code(tmp_path, capsys,
             ("ell_5_9", '{"ell": 5.9, "a": "1+x^4", "b": "1+x+x^2+x^4"}'),
             ("kappa_2_5", '{"base": {"a": "1+x^4", "b": "1+x+x^2+x^4", '
              '"ell": 5}, "M": 2, "kappa": [1, 2.5], "p_seq": ["1", "1"]}'),
-            ("short_row", ",".join(CSV_COLUMNS) + "\na,1\n")]:
+            ("short_row", ",".join(CSV_COLUMNS) + "\na,1\n"),
+            ("header_only", ",".join(CSV_COLUMNS) + "\n"),
+            ("plan2", '{"base": {"a": "1+x^4", "b": "1+x+x^2+x^4", "ell": 5}, '
+             '"M": 2, "kappa": [1, 2], "p_seq": ["1", "1"]}'),
+            ("plan_m3", '{"base": {"a": "1+x^4", "b": "1+x+x^2+x^4", '
+             '"ell": 5}, "M": 3, "kappa": [1, 2], "p_seq": ["1", "1"]}'),
+            ("plan_no_m", '{"base": {"a": "1+x^4", "b": "1+x+x^2+x^4", '
+             '"ell": 5}, "kappa": [1, 2], "p_seq": ["1", "1"]}')]:
         path = paths["{%s}" % name] = tmp_path / name
         path.write_text(text)
     capsys.readouterr()

@@ -483,7 +483,8 @@ def test_decode_full_code_weight_one_errors():
                 ez[i] = 1
             s_z = (code.hz @ ex) % 2
             s_x = (code.hx @ ez) % 2
-            ex_hat, ez_hat = decode(code, s_x, s_z, 0.01, cfg)
+            (ex_hat,), (ez_hat,) = decode(code, s_x[None], s_z[None], 0.01,
+                                          cfg)
             rx, rz = ex ^ ex_hat, ez ^ ez_hat
             assert np.array_equal((code.hz @ rx) % 2, np.zeros(5, np.uint8))
             assert np.array_equal((code.hx @ rz) % 2, np.zeros(5, np.uint8))
@@ -528,6 +529,6 @@ def test_decode_batch_rows_equal_single_decodes(code, seed, p, cfg):
     EX_hat = decode_batch(code.hz, SZ, p, cfg)
     EZ_hat = decode_batch(code.hx, SX, p, cfg)
     for t in range(6):
-        ex, ez = decode(code, SX[t], SZ[t], p, cfg)
+        (ex,), (ez,) = decode(code, SX[t:t + 1], SZ[t:t + 1], p, cfg)
         assert np.array_equal(ex, EX_hat[t])
         assert np.array_equal(ez, EZ_hat[t])

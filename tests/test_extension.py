@@ -7,7 +7,7 @@ import pytest
 
 from gbx.code import build_gb, weight_profile
 from gbx.extension import (ExtensionPlan, extend_family, identity_plan,
-                           plan_from_json, plan_to_dict, sparsity_profile)
+                           plan_from_dict, plan_to_dict, sparsity_profile)
 from gbx.gf2mat import rank_gf2
 from gbx.gf2poly import RingPoly, f2_gcd, parse_ring_poly
 from oracles import (dim_exact_coprime, dimension_rank, shor_check_matrices,
@@ -23,17 +23,17 @@ def base_pair():
 def test_plan_validation():
     a, b = base_pair()
     with pytest.raises(ValueError):  # kappa_1 != 1
-        ExtensionPlan(a, b, 2, (2, 3), (1, 1))
+        ExtensionPlan(a, b, (2, 3), (1, 1))
     with pytest.raises(ValueError):  # p^(1) != 1
-        ExtensionPlan(a, b, 2, (1, 2), (0b11, 1))
+        ExtensionPlan(a, b, (1, 2), (0b11, 1))
     with pytest.raises(ValueError):  # not strictly increasing
-        ExtensionPlan(a, b, 2, (1, 1), (1, 1))
+        ExtensionPlan(a, b, (1, 1), (1, 1))
     with pytest.raises(ValueError):  # degree bound: deg p^(2) <= (2-1)*5
-        ExtensionPlan(a, b, 2, (1, 2), (1, 1 << 6))
+        ExtensionPlan(a, b, (1, 2), (1, 1 << 6))
     with pytest.raises(ValueError):  # zero multiplier
-        ExtensionPlan(a, b, 2, (1, 2), (1, 0))
+        ExtensionPlan(a, b, (1, 2), (1, 0))
     # degree exactly at the bound is allowed
-    ExtensionPlan(a, b, 2, (1, 2), (1, 1 << 5))
+    ExtensionPlan(a, b, (1, 2), (1, 1 << 5))
 
 
 def test_member_one_is_base():
@@ -61,7 +61,7 @@ def test_dimension_lower_bound_randomized():
         for m in range(1, M):
             bound = (kappa[m] - 1) * ell
             p_seq.append(int(rng.integers(1, 1 << (bound + 1))) if bound else 1)
-        plan = ExtensionPlan(a, b, M, tuple(kappa), tuple(p_seq))
+        plan = ExtensionPlan(a, b, tuple(kappa), tuple(p_seq))
         fam = extend_family(plan, with_logicals=False)
         witness = next((c for c in fam if c.k < fam[0].k), None)
         assert witness is None, (str(a), str(b), kappa, p_seq, witness.label)
@@ -80,7 +80,7 @@ def test_closed_form_dimension_odd_kappa():
         p = int(rng.integers(1, 1 << (bound + 1)))
         if f2_gcd(p, f2_gcd(a.mask, b.mask)) != 1:
             continue
-        plan = ExtensionPlan(a, b, 2, (1, kappa), (1, p))
+        plan = ExtensionPlan(a, b, (1, kappa), (1, p))
         k = dim_exact_coprime(plan, 2)
         member = extend_family(plan, with_logicals=False)[1]
         assert k == member.k == dimension_rank(member)
@@ -135,8 +135,10 @@ def test_shor_matrices_realize_the_density():
 
 def test_plan_json_roundtrip():
     a, b = base_pair()
-    plan = ExtensionPlan(a, b, 3, (1, 3, 5), (1, 0b11, 0b1001))
-    back = plan_from_json(json.dumps(plan_to_dict(plan)))
+    plan = ExtensionPlan(a, b, (1, 3, 5), (1, 0b11, 0b1001))
+    doc = plan_to_dict(plan)
+    assert doc["M"] == 3
+    back = plan_from_dict(json.loads(json.dumps(doc)))
     assert back.kappa == plan.kappa
     assert back.p_seq == plan.p_seq
     assert back.base_a == a and back.base_b == b

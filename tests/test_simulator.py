@@ -29,7 +29,8 @@ def run_trial(code, noise, cfg, rng) -> bool:
     ex, ez = sample_error(code.n, noise, rng)
     s_z = (code.hz @ ex) % 2
     s_x = (code.hx @ ez) % 2
-    ex_hat, ez_hat = decode(code, s_x, s_z, _decoder_prior(noise.p), cfg)
+    (ex_hat,), (ez_hat,) = decode(code, s_x[None], s_z[None],
+                                  _decoder_prior(noise.p), cfg)
     return classify_failure(code, ex ^ ex_hat, ez ^ ez_hat)
 
 

@@ -15,6 +15,8 @@ import argparse
 import ast
 import dataclasses
 import inspect
+import re
+import shlex
 from pathlib import Path
 
 import gbx
@@ -189,3 +191,27 @@ def test_every_cli_option_is_read_by_its_handler():
               and action.dest
               not in reads[parser.get_default("func").__name__]]
     assert not unread, f"options their subcommand never reads: {unread}"
+
+
+def readme_cli_commands() -> list:
+    """The ``gbx ...`` commands of the README's CLI block, ``\\``
+    continuations joined, as argument lists without the program name."""
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"^## CLI$.*?^```sh$(.*?)^```$", text,
+                      re.M | re.S).group(1)
+    return [shlex.split(line)[1:]
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("gbx ")]
+
+
+def test_readme_cli_examples_parse():
+    parser = build_parser()
+    commands = readme_cli_commands()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            raise AssertionError(f"README example does not parse: {argv}")
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert {argv[0] for argv in commands} == set(sub.choices)
