@@ -1,9 +1,8 @@
 """Generalized-bicycle CSS codes: construction, scalable families,
 decoding, and logical-error-rate estimation."""
 
-from .code import (CssCode, WeightProfile, build_gb, code_from_dict,
-                   code_to_dict, dimension_gcd, logical_basis, to_alist,
-                   weight_profile)
+from .code import (CssCode, build_gb, code_from_dict, code_to_dict,
+                   dimension_gcd, logical_basis, to_alist)
 from .decoder import (DecodeOutcome, DecoderConfig, bp_minsum_batch, decode,
                       decode_batch, osd_postprocess)
 from .distance import (BudgetExceeded, DistanceResult, min_distance)

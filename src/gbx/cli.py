@@ -207,16 +207,10 @@ def cmd_scale4(args) -> int:
 def cmd_distance(args) -> int:
     code = _read_json(args.code, code_from_dict)
     res = min_distance(code, cap=args.cap)
-    n = code.n
-    sympl = np.zeros(2 * n, dtype=np.uint8)
-    if res.witness_sector == "X":
-        sympl[:n] = res.witness
-    else:
-        sympl[n:] = res.witness
     qualifier = "" if res.exact else " (upper bound; cap hit)"
     _emit(f"d = {res.d}{qualifier}\n"
-          f"witness ({res.witness_sector}-type, X-part|Z-part): "
-          + "".join(str(int(b)) for b in sympl), args.out)
+          "witness (X-type, X-part|Z-part): "
+          + "".join(map(str, res.witness.tolist())) + "0" * code.n, args.out)
     return EXIT_OK
 
 
@@ -282,7 +276,7 @@ def cmd_report(args) -> int:
     lines = ["code_label breakeven_PER"]
     for label in doc["labels"]:
         be = doc["breakevens"][label]
-        lines.append(f"{label} {be if be is not None else 'none'}")
+        lines.append(f"{label} {'none' if be is None else format(be, '.4g')}")
     for pair, (p_star, err) in doc["thresholds"].items():
         lines.append(f"threshold {pair}: {p_star:.4g} +- {err:.2g}")
     _emit("\n".join(lines), None)
@@ -392,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--precision", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1,
-                   help="worker processes, at most one per point")
+                   help="worker processes, at most one per point and CPU")
     decoder_args(p)
     p.set_defaults(func=cmd_sweep)
 

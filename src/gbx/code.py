@@ -19,16 +19,6 @@ from .gf2poly import (RingPoly, f2_degree, f2_gcd, format_poly,
 
 
 @dataclass
-class WeightProfile:
-    """Row/column Hamming weights of the full (2l x 2n) parity-check matrix."""
-
-    w_r: int
-    w_c: int
-    per_row: list
-    per_col: list
-
-
-@dataclass
 class CssCode:
     ell: int
     a: RingPoly
@@ -109,13 +99,6 @@ def logical_basis(code: CssCode) -> tuple[np.ndarray, np.ndarray]:
     if rank_gf2(_gf2_products(lx, lz)) != code.k:
         raise AssertionError("logical pairing matrix is singular")
     return lx, lz
-
-
-def weight_profile(code: CssCode) -> WeightProfile:
-    per_row = [int(w) for h in (code.hx, code.hz) for w in h.sum(axis=1)]
-    per_col = [int(w) for h in (code.hx, code.hz) for w in h.sum(axis=0)]
-    return WeightProfile(w_r=max(per_row), w_c=max(per_col),
-                         per_row=per_row, per_col=per_col)
 
 
 # ---------------------------------------------------------------------------

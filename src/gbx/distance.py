@@ -1,9 +1,11 @@
 """Exact brute-force CSS minimum distance for small codes.
 
-The CSS structure decouples the two sectors: the X-distance is the minimum
-weight over ker(H_Z) \\ rowspace(H_X), the Z-distance over
-ker(H_X) \\ rowspace(H_Z), and d is the smaller of the two. Kernels are
-enumerated in full (Gray-code walk over the span), guarded by a vector
+The X-distance is the minimum weight over ker(H_Z) \\ rowspace(H_X), the
+Z-distance over ker(H_X) \\ rowspace(H_Z). For a GB code the two are equal:
+with P the ring reflection i -> -i (so P A P = A^T), the qubit map
+pi(u, v) = (P v, P u) takes ker(H_Z) onto ker(H_X) and rowspace(H_X) onto
+rowspace(H_Z), keeping weights. So only the X sector is walked: its kernel
+is enumerated in full (Gray-code walk over the span), guarded by a vector
 budget.
 """
 
@@ -16,7 +18,7 @@ import numpy as np
 from .code import CssCode
 from .gf2mat import mask_rows, nullspace, row_masks, row_reduce
 
-BUDGET = 1 << 26  # vectors one sector's kernel walk may cover
+BUDGET = 1 << 26  # vectors the kernel walk may cover
 
 
 class BudgetExceeded(RuntimeError):
@@ -26,9 +28,8 @@ class BudgetExceeded(RuntimeError):
 @dataclass
 class DistanceResult:
     d: int
-    witness: np.ndarray  # n-bit support of a minimal logical operator
-    witness_sector: str  # "X" or "Z"
-    exhausted_dim: int  # dimension of the enumerated kernel(s)
+    witness: np.ndarray  # n-bit support of a minimal X-type logical
+    exhausted_dim: int  # dimension of the walked kernel, ker(H_Z)
     exact: bool = True  # False when a cap stopped enumeration early
 
 
@@ -42,8 +43,6 @@ def _sector_min(kernel_checks: np.ndarray, stabilizer_rows: np.ndarray,
     n = kernel_checks.shape[1]
     basis = row_masks(nullspace(kernel_checks))  # int masks, bit j = qubit j
     dim = len(basis)
-    if dim == 0:
-        return None, None, 0, True
     if 1 << dim > BUDGET:
         raise BudgetExceeded(f"kernel dimension {dim} exceeds the budget")
     # stabilizer RREF rows keyed by their pivot bit; being fully reduced,
@@ -76,7 +75,9 @@ def _sector_min(kernel_checks: np.ndarray, stabilizer_rows: np.ndarray,
 
 
 def min_distance(code: CssCode, cap=None) -> DistanceResult:
-    """Exact minimum distance by kernel enumeration.
+    """Exact minimum distance by enumerating the X sector's kernel; the
+    witness is an X-type logical (see the module docstring for why the Z
+    sector has the same distance).
 
     With ``cap`` set, enumeration stops as soon as a logical operator of
     weight below the cap is found (enough to reject a candidate code); the
@@ -84,14 +85,4 @@ def min_distance(code: CssCode, cap=None) -> DistanceResult:
     """
     if code.k < 1:
         raise ValueError("code has no logical operators (k = 0)")
-    dx, wx, dim_x, exact_x = _sector_min(code.hz, code.hx, cap)
-    if not exact_x and cap is not None:
-        return DistanceResult(dx, wx, "X", dim_x, exact=False)
-    dz, wz, dim_z, exact_z = _sector_min(code.hx, code.hz, cap)
-    candidates = [(d, w, s) for d, w, s in
-                  ((dx, wx, "X"), (dz, wz, "Z")) if d is not None]
-    if not candidates:
-        raise AssertionError("k >= 1 but no logical operator found")
-    d, w, sector = min(candidates, key=lambda t: t[0])
-    return DistanceResult(d, w, sector, dim_x + dim_z,
-                          exact=exact_x and exact_z)
+    return DistanceResult(*_sector_min(code.hz, code.hx, cap))

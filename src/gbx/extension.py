@@ -8,9 +8,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .code import build_gb, int_field, weight_profile
-from .gf2poly import (RingPoly, f2_degree, f2_mul, format_poly, parse_poly,
-                      parse_ring_poly, ring_reduce)
+from .code import build_gb, int_field
+from .gf2poly import (RingPoly, f2_degree, f2_mul, f2_weight, format_poly,
+                      parse_poly, parse_ring_poly, ring_reduce)
 
 
 @dataclass
@@ -83,22 +83,24 @@ class SparsityProfile:
 def sparsity_profile(family: list) -> SparsityProfile:
     """Per-member check-matrix densities and a family classification.
 
-    Constant row and column weights classify as t-qLDPC with
+    A GB member's checks (A|B) and (B^T|A^T) have row weight
+    wt(a) + wt(b) and column weight max(wt(a), wt(b)), read here from the
+    generators. Constant row and column weights classify as t-qLDPC with
     t = max row weight; a constant density ratio alpha < 1 across
     consecutive members classifies as exponentially decaying.
     All arithmetic is exact rational.
     """
     if not family:
         raise ValueError("empty family")
-    q_r, q_c, w_rs, w_cs = [], [], [], []
+    w_rs, w_cs = [], []
     for code in family:
-        wp = weight_profile(code)
-        if 0 in wp.per_row or 0 in wp.per_col:
+        wa, wb = f2_weight(code.a.mask), f2_weight(code.b.mask)
+        if not (wa and wb):
             raise ValueError("parity-check matrix has an all-zero row or column")
-        q_r.append(Fraction(wp.w_r, code.n))
-        q_c.append(Fraction(wp.w_c, code.ell))
-        w_rs.append(wp.w_r)
-        w_cs.append(wp.w_c)
+        w_rs.append(wa + wb)
+        w_cs.append(max(wa, wb))
+    q_r = [Fraction(w, code.n) for w, code in zip(w_rs, family)]
+    q_c = [Fraction(w, code.ell) for w, code in zip(w_cs, family)]
     if len(set(w_rs)) == 1 and len(set(w_cs)) == 1:
         return SparsityProfile(q_r, q_c, "t-qldpc", t=max(w_rs))
     q = [max(r, c) for r, c in zip(q_r, q_c)]

@@ -19,6 +19,7 @@ import csv
 import io
 import math
 import operator
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -256,9 +257,9 @@ def sweep(family: list, p_grid: list, cfg: DecoderConfig, trials: int,
           precision: float = 1e-3, seed: int = 0, threads: int = 1) -> list:
     """Cartesian product of members and grid points; each point gets its own
     deterministic seed tuple, so threading never changes the result. The
-    points run in min(threads, points) worker processes, or serially when
-    that is 1; the cap matters because a pool starts all of its workers at
-    the first submit."""
+    points run in min(threads, points, CPUs) worker processes, or serially
+    when that is 1; the cap matters because a pool starts all of its
+    workers at the first submit."""
     if not family or not p_grid:
         raise ValueError("need a nonempty family and grid")
     if threads < 1:
@@ -266,7 +267,7 @@ def sweep(family: list, p_grid: list, cfg: DecoderConfig, trials: int,
     jobs = [(code, float(p), cfg, trials, precision, (seed, mi, pi))
             for mi, code in enumerate(family)
             for pi, p in enumerate(p_grid)]
-    threads = min(threads, len(jobs))
+    threads = min(threads, len(jobs), os.cpu_count() or 1)
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(_sweep_point, jobs))

@@ -34,6 +34,11 @@ def dim_exact_coprime(plan, m: int) -> int:
                    for v in (modulus, sigma))
 
 
+def max_row_weight(code) -> int:
+    """Largest row weight of H_X and H_Z, read from the matrices."""
+    return int(max(code.hx.sum(axis=1).max(), code.hz.sum(axis=1).max()))
+
+
 def shor_check_matrices(d: int) -> tuple:
     """(H_X, H_Z) of the [[d^2, 1, d]] generalized Shor code, the
     O(1/m)-sparse reference family of row and column densities

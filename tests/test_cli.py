@@ -160,6 +160,21 @@ def test_extend_with_sparsity(tmp_path):
     assert [c["n"] for c in doc["family"]] == [10, 20, 30]
 
 
+def test_triple_preset(tmp_path, capsys):
+    path = build_code_file(tmp_path)
+    assert main(["extend", "--base", str(path), "--preset", "triple",
+                 "--members", "3", "--sparsity"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert [c["n"] for c in doc["family"]] == [10, 30, 90]
+    assert (doc["sparsity"]["classification"],
+            doc["sparsity"]["alpha"]) == ("exp-decay", "2/3")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--base", str(path), "--preset", "triple",
+                 "--members", "2..2"] + SWEEP_GRID
+                + ["--out", str(out)]) == EXIT_OK
+    assert out.read_text().splitlines()[1].startswith('"m=2,l=15",30,')
+
+
 def test_sweep_and_report(tmp_path, capsys):
     path = build_code_file(tmp_path)
     csv1 = tmp_path / "sweep.csv"
@@ -178,6 +193,13 @@ def test_sweep_and_report(tmp_path, capsys):
     rc = main(["report", str(csv1), str(csv2)])
     assert rc == EXIT_OK
     assert "breakeven" in capsys.readouterr().out
+    # --out writes the merged rows, each once; the report still goes to
+    # stdout
+    merged = tmp_path / "merged.csv"
+    assert main(["report", str(csv1), str(csv2), "--out",
+                 str(merged)]) == EXIT_OK
+    assert merged.read_text() == csv1.read_text()
+    assert "breakeven" in capsys.readouterr().out
     rc = main(["report", str(tmp_path / "missing.csv")])
     assert rc == EXIT_IO
 
@@ -191,27 +213,43 @@ def test_sweep_member_list(tmp_path):
     assert labels == ["m=1,l=5", "m=3,l=15"]
 
 
+def synthetic_csv(tmp_path, rows, half):
+    """A sweep CSV of (label, p, ler) rows, CI half-width half[label]."""
+    csv = tmp_path / "synthetic.csv"
+    csv.write_text(",".join(CSV_COLUMNS) + "\n" + "".join(
+        f"{lab},10,2,{p},100,{round(100 * ler)},{ler},{ler - half[lab]},"
+        f"{ler + half[lab]},0\n" for lab, p, ler in rows))
+    return csv
+
+
 def test_report_breakeven_and_threshold(tmp_path, capsys):
     # A dips below p between p = 0.1 and 0.2 and crosses B between 0.2 and
     # 0.3; B never dips below p
     rows = [("A", 0.1, 0.2), ("A", 0.2, 0.15), ("A", 0.3, 0.4),
             ("B", 0.1, 0.3), ("B", 0.2, 0.25), ("B", 0.3, 0.35)]
-    half = {"A": 0.01, "B": 0.02}
-    csv = tmp_path / "synthetic.csv"
-    csv.write_text(",".join(CSV_COLUMNS) + "\n" + "".join(
-        f"{lab},10,2,{p},100,{round(100 * ler)},{ler},{ler - half[lab]},"
-        f"{ler + half[lab]},0\n" for lab, p, ler in rows))
+    csv = synthetic_csv(tmp_path, rows, {"A": 0.01, "B": 0.02})
     assert main(["report", str(csv)]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "code_label breakeven_PER"
     # margins ler - p: +0.1 at 0.1, -0.05 at 0.2, so 0.1 + 0.1 * 0.1 / 0.15
-    label, be = lines[1].split()
-    assert label == "A" and float(be) == pytest.approx(0.1 + 0.1 / 1.5)
+    assert lines[1] == f"A {0.1 + 0.1 / 1.5:.4g}"
     assert lines[2] == "B none"
     # LER differences -0.1 at 0.2 and +0.05 at 0.3: 0.2 + 0.1 * 0.1 / 0.15;
     # error 0.1 * (0.01 + 0.02) / |0.15 - 0.25|
     p_star, err = 0.2 + 0.1 / 1.5, 0.1 * 0.03 / 0.1
     assert lines[3:] == [f"threshold A vs B: {p_star:.4g} +- {err:.2g}"]
+
+
+def test_report_breakeven_at_first_point_and_uncrossed_pair(tmp_path,
+                                                            capsys):
+    # C lies below p from the first grid point on; B and C never cross, so
+    # that pair has no threshold line
+    rows = [("B", 0.1, 0.3), ("B", 0.2, 0.25),
+            ("C", 0.1, 0.05), ("C", 0.2, 0.1)]
+    csv = synthetic_csv(tmp_path, rows, {"B": 0.02, "C": 0.01})
+    assert main(["report", str(csv)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        "code_label breakeven_PER", "B none", "C 0.1"]
 
 
 def test_missing_artifact_is_io_error(tmp_path, capsys):

@@ -8,10 +8,10 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from gbx.code import (build_gb, code_from_dict, code_to_dict,
-                      dimension_gcd, logical_basis, to_alist, weight_profile)
+                      dimension_gcd, logical_basis, to_alist)
 from gbx.gf2mat import nullspace, rank_gf2, row_reduce
 from gbx.gf2poly import RingPoly, parse_ring_poly
-from oracles import dimension_rank
+from oracles import dimension_rank, max_row_weight
 
 
 def make_10_2_3():
@@ -36,12 +36,13 @@ def test_build_block_structure():
 def test_known_small_code():
     code = make_10_2_3()
     assert code.k == 2
-    wp = weight_profile(code)
-    assert wp.w_r == 6
-    assert wp.per_row == [6] * 10
+    per_row = [int(w) for h in (code.hx, code.hz) for w in h.sum(axis=1)]
+    per_col = [int(w) for h in (code.hx, code.hz) for w in h.sum(axis=0)]
+    assert max_row_weight(code) == 6
+    assert per_row == [6] * 10
     # columns of H_X = (A|B), then of H_Z = (B^T|A^T); a has weight 2, b 4
-    assert wp.w_c == 4
-    assert wp.per_col == [2] * 5 + [4] * 5 + [4] * 5 + [2] * 5
+    assert max(per_col) == 4
+    assert per_col == [2] * 5 + [4] * 5 + [4] * 5 + [2] * 5
 
 
 def test_dimension_formulas_agree_exhaustively():
@@ -172,6 +173,14 @@ def test_json_rejects_tampered_matrices():
     doc = code_to_dict(code)
     doc["k"] = 4
     with pytest.raises(ValueError):
+        code_from_dict(doc)
+    doc = code_to_dict(code, embed_matrices=True)
+    doc["hz"] = doc["hx"]
+    with pytest.raises(ValueError, match="embedded hz disagrees"):
+        code_from_dict(doc)
+    doc = code_to_dict(code)
+    doc["n"] = 12
+    with pytest.raises(ValueError, match="inconsistent code length"):
         code_from_dict(doc)
 
 

@@ -316,6 +316,16 @@ def test_osd_rejects_unreachable_syndrome():
         osd_postprocess(H, s, np.zeros(3), DecoderConfig())
 
 
+def test_osd_rejects_misshapen_inputs():
+    H = np.array([[1, 1, 0], [0, 1, 1]], dtype=np.uint8)
+    with pytest.raises(ValueError, match="number of checks"):
+        osd_postprocess(H, np.zeros(3, dtype=np.uint8), np.zeros(3),
+                        DecoderConfig())
+    with pytest.raises(ValueError, match="every bit"):
+        osd_postprocess(H, np.zeros((2, 2), dtype=np.uint8), np.zeros(3),
+                        DecoderConfig())
+
+
 def test_osd_sweep_never_worse_than_order0():
     code = make_code()
     rng = np.random.default_rng(74)

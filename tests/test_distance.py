@@ -5,8 +5,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from gbx.code import build_gb
-from gbx.distance import BudgetExceeded, min_distance
+from gbx.code import build_gb, dimension_gcd
+from gbx.distance import BudgetExceeded, _sector_min, min_distance
 from gbx.gf2mat import rank_gf2, row_reduce
 from gbx.gf2poly import RingPoly, parse_ring_poly
 from gbx.scalable import TripleBlockPlan, build_triple_family
@@ -46,13 +46,41 @@ def test_known_distance():
     res = min_distance(code)
     assert res.d == 3
     assert res.exact
-    # witness is a genuine logical operator of the claimed sector and weight
+    # witness is a genuine X-type logical operator of the claimed weight
     assert int(res.witness.sum()) == 3
-    checks = code.hz if res.witness_sector == "X" else code.hx
-    stabs = code.hx if res.witness_sector == "X" else code.hz
-    assert not ((checks @ res.witness) % 2).any()
-    assert rank_gf2(np.vstack([stabs, res.witness[None, :]])) \
-        == rank_gf2(stabs) + 1
+    assert not ((code.hz @ res.witness) % 2).any()
+    assert rank_gf2(np.vstack([code.hx, res.witness[None, :]])) \
+        == rank_gf2(code.hx) + 1
+
+
+def reflect_swap(w, ell):
+    """pi(u, v) = (P v, P u), P the ring reflection i -> -i."""
+    P = -np.arange(ell) % ell
+    return np.concatenate([w[ell:][P], w[:ell][P]])
+
+
+def test_z_sector_mirrors_x_sector():
+    # every pair with k > 0 in rings up to l = 6: the Z walk that
+    # min_distance skips gives the same d and kernel dimension, and pi
+    # maps the X-type witness to a Z-type logical of the same weight
+    pairs = 0
+    for ell in range(1, 7):
+        for am in range(1, 1 << ell):
+            for bm in range(1, 1 << ell):
+                a, b = RingPoly(am, ell), RingPoly(bm, ell)
+                if dimension_gcd(a, b) == 0:
+                    continue
+                pairs += 1
+                code = build_gb(a, b, with_logicals=False)
+                res = min_distance(code)
+                dz, _, dim_z, _ = _sector_min(code.hx, code.hz, None)
+                assert (res.d, res.exhausted_dim) == (dz, dim_z), (ell, am, bm)
+                z = reflect_swap(res.witness, ell)
+                assert int(z.sum()) == res.d
+                assert not ((code.hx @ z) % 2).any()
+                assert rank_gf2(np.vstack([code.hz, z])) \
+                    == rank_gf2(code.hz) + 1
+    assert pairs == 1423
 
 
 def test_matches_oracle_on_random_small_codes():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gbx.code import build_gb, weight_profile
+from gbx.code import build_gb
 from gbx.extension import (ExtensionPlan, extend_family, identity_plan,
                            plan_from_dict, plan_to_dict, sparsity_profile)
 from gbx.gf2mat import rank_gf2
@@ -32,6 +32,12 @@ def test_plan_validation():
         ExtensionPlan(a, b, (1, 2), (1, 1 << 6))
     with pytest.raises(ValueError):  # zero multiplier
         ExtensionPlan(a, b, (1, 2), (1, 0))
+    with pytest.raises(ValueError, match="different rings"):
+        ExtensionPlan(a, RingPoly(b.mask, 6), (1, 2), (1, 1))
+    with pytest.raises(ValueError, match="equal nonzero length"):
+        ExtensionPlan(a, b, (1, 2), (1,))
+    with pytest.raises(ValueError, match="positive integers"):
+        ExtensionPlan(a, b, (1, 2.5), (1, 1))
     # degree exactly at the bound is allowed
     ExtensionPlan(a, b, (1, 2), (1, 1 << 5))
 
@@ -105,6 +111,22 @@ def test_sparsity_exp_decay_detection():
     prof = sparsity_profile(fam)
     assert prof.classification == "exp-decay"
     assert prof.alpha == Fraction(2, 3)
+
+
+def test_sparsity_other_and_zero_generator():
+    # p^(2) = 1 + x raises the weights of member 2 only: neither constant
+    # weights nor a constant density ratio
+    a, b = base_pair()
+    fam = extend_family(ExtensionPlan(a, b, (1, 2, 3), (1, 0b11, 1)),
+                        with_logicals=False)
+    prof = sparsity_profile(fam)
+    assert (prof.classification, prof.t, prof.alpha) == ("other", None, None)
+    assert prof.q_r == [Fraction(6, 10), Fraction(8, 20), Fraction(6, 30)]
+    # a zero generator leaves all-zero columns in H_X
+    zero = build_gb(RingPoly(0, 5), b, with_logicals=False)
+    with pytest.raises(ValueError, match="^parity-check matrix has an "
+                       "all-zero row or column$"):
+        sparsity_profile([zero])
 
 
 def test_shor_sparsity_values():

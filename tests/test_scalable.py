@@ -5,16 +5,19 @@ form F(C) = [[L,U,C],[C,L,U],[U,C,L]] lives here as the reference it is
 checked against.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from gbx.code import build_gb, weight_profile
+from gbx.code import build_gb
 from gbx.extension import extend_family
 from gbx.gf2mat import as_gf2, circulant_from_poly
 from gbx.gf2poly import RingPoly, f2_mul, parse_ring_poly, ring_reduce
 from gbx.scalable import (ZeroInsertPlan, TripleBlockPlan, build_triple_family,
                           build_insertion_family, triple_extension_plan,
                           verify_embedding)
+from oracles import max_row_weight
 
 
 def base_code():
@@ -112,7 +115,7 @@ def test_f_triple_is_multiplication_by_one_plus_xl():
 def test_triple_family_shapes_and_weights():
     fam = build_triple_family(TripleBlockPlan(base_code(), 3))
     assert [c.n for c in fam] == [10, 30, 90]
-    ws = [weight_profile(c).w_r for c in fam]
+    ws = [max_row_weight(c) for c in fam]
     assert ws == [6, 12, 24]  # weights double at every level
     ks = [c.k for c in fam]
     assert all(k2 >= k1 for k1, k2 in zip(ks, ks[1:]))
@@ -167,6 +170,13 @@ def test_embedding_identity_and_failure_cases():
     fake = build_gb(parse_ring_poly("1", 15), parse_ring_poly("x", 15))
     ok, witness = verify_embedding(base, fake)
     assert not ok and "mismatch" in witness
+    # H_X embeds but H_Z does not: the witness names the first missing
+    # H_Z entry
+    large = build_triple_family(TripleBlockPlan(base, 2))[1]
+    large = dataclasses.replace(large, hz=np.zeros_like(large.hz))
+    ok, witness = verify_embedding(base, large)
+    i, j = np.argwhere(base.hz)[0]
+    assert not ok and witness["mismatch"] == ("hz", i, j)
 
 
 def test_insertion_family_generator_examples():
@@ -187,7 +197,7 @@ def test_insertion_family_generator_examples():
 def test_insertion_family_preserves_weights():
     fam = build_insertion_family(ZeroInsertPlan(base_code(), 3, j=2, r=5))
     assert [c.n for c in fam] == [10, 20, 30]
-    assert [weight_profile(c).w_r for c in fam] == [6, 6, 6]
+    assert [max_row_weight(c) for c in fam] == [6, 6, 6]
     ks = [c.k for c in fam]
     assert all(k2 >= k1 for k1, k2 in zip(ks, ks[1:]))
 
@@ -202,10 +212,10 @@ def test_insertion_random_weight_preservation():
         j = int(rng.integers(1, ell - 1))
         r = int(rng.integers(1, 4))
         fam = build_insertion_family(ZeroInsertPlan(base, 3, j, r))
-        w0 = weight_profile(fam[0]).w_r
+        w0 = max_row_weight(fam[0])
         for m, code in enumerate(fam, start=1):
             assert code.ell == ell + r * (m - 1)
-            assert weight_profile(code).w_r == w0
+            assert max_row_weight(code) == w0
 
 
 def test_plan_validation():

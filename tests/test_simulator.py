@@ -206,6 +206,16 @@ def test_estimate_ler_rejects_batch_below_one(batch):
                      trials=100, batch=batch)
 
 
+def test_estimate_ler_rejects_no_trials_and_no_logicals():
+    cfg = DecoderConfig()
+    with pytest.raises(ValueError, match="at least one trial"):
+        estimate_ler(make_code(), NoiseModel(0.05), cfg, trials=0)
+    bare = build_gb(parse_ring_poly("1+x^4", 5),
+                    parse_ring_poly("1+x+x^2+x^4", 5), with_logicals=False)
+    with pytest.raises(ValueError, match="logical basis"):
+        estimate_ler(bare, NoiseModel(0.05), cfg, trials=10)
+
+
 def test_estimate_ler_early_stop():
     code = make_code()
     rep = estimate_ler(code, NoiseModel(0.001), DecoderConfig(),
@@ -278,6 +288,7 @@ class RecordingPool:
 def test_sweep_starts_at_most_one_worker_per_point(monkeypatch):
     monkeypatch.setattr(simulator, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(simulator.os, "cpu_count", lambda: 64)
     code = make_code()
     cfg = DecoderConfig()
     serial = reports_to_csv(sweep([code], [0.05], cfg, trials=50, seed=3))
@@ -289,6 +300,22 @@ def test_sweep_starts_at_most_one_worker_per_point(monkeypatch):
     for threads in (0, -1):
         with pytest.raises(ValueError):
             sweep([code], [0.05], cfg, trials=50, threads=threads)
+
+
+def test_sweep_starts_at_most_one_worker_per_cpu(monkeypatch):
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    code = make_code()
+    cfg = DecoderConfig()
+    grid = [0.05, 0.08, 0.1]
+    serial = reports_to_csv(sweep([code], grid, cfg, trials=50, seed=3))
+    # no pool gets more workers than CPUs; one CPU, or an unknown count,
+    # runs serially (the recording pool starts no process)
+    for cpus, threads in ((2, 100_000), (1, 3), (None, 3)):
+        monkeypatch.setattr(simulator.os, "cpu_count", lambda: cpus)
+        out = sweep([code], grid, cfg, trials=50, seed=3, threads=threads)
+        assert reports_to_csv(out) == serial
+    assert RecordingPool.sizes == [2]
 
 
 def test_csv_roundtrip():
