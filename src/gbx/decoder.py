@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gf2mat import rank_gf2, row_reduce
+from .gf2mat import row_reduce
 
 LLR_CAP = 1e9  # stands in for +inf on degree-1 checks
 OSD_MODES = ("off", "sweep", "always")
@@ -168,13 +168,22 @@ def osd_postprocess(H, syndrome, soft, cfg: DecoderConfig) -> DecodeOutcome:
     secondary column order, then weight 2 in ``itertools.combinations``
     order. ``osd_mode`` is not read here.
 
-    Ranking, candidate tables and approximate costs are computed for the
-    whole stack at once, the costs in blocks of at most 2^18 pivot bits;
-    each row's system is eliminated with :func:`row_reduce`. In a row,
-    candidates whose approximate cost lies within a rounding-error bound of
-    the minimum are re-scored exactly, so the choice does not depend on the
-    product's summation order. Raises ValueError when a syndrome is not in
-    the column space of H.
+    The rows go in blocks of at most 2^22 system bits, and the systems
+    [H[:, order_i] | s_i] of a block are eliminated together by
+    :func:`row_reduce`: rank(H) is the number of pivots left of the
+    syndrome column, and a pivot in that column raises ValueError. With
+    sigma = 1 - 2 bit, a candidate flipping secondary columns j1 and j2 sets
+    pivot bits of sign sigma_b sigma_j1 sigma_j2, so it costs
+    (sum lp_piv - G[j1, j2]) / 2 + lp_j1 + lp_j2 with
+    G = sigma_T^T diag(lp_piv sigma_b) sigma_T; a column of +1 stands for
+    "no flip", so one GEMM per row (on groups of rows of at most 2^18
+    products) gives every candidate's cost. Its two rank-term sums and
+    three more roundings put a cost within (rank + 2) eps/2 sum|lp| of the
+    real one, and an exact re-score, a sum of at most n terms, within
+    n eps/2 sum|lp|. So only candidates within (n + rank + 2) eps sum|lp|
+    of the approximate minimum can hold the exact one: those within
+    tol = 2 (n + rank + 4) eps sum|lp| are re-scored exactly (a factor 2
+    for higher-order terms), and every candidate when a cost is not finite.
     """
     H = np.asarray(H, dtype=np.uint8) & 1
     m, n = H.shape
@@ -187,78 +196,58 @@ def osd_postprocess(H, syndrome, soft, cfg: DecoderConfig) -> DecodeOutcome:
         raise ValueError("syndrome length must equal the number of checks")
     if llr.shape != (K, n):
         raise ValueError("soft reliabilities required for every bit")
-    if K == 0:
-        return DecodeOutcome(estimate=np.zeros((0, n), dtype=np.uint8))
 
-    col = np.arange(K)[:, None]  # row index, broadcast along columns
     order = np.argsort(llr, axis=1, kind="stable")  # most error-prone first
     lp = np.zeros((K, n + 1))  # entry n of each row: no flip, zero cost
-    lp[:, :n] = llr[col, order]
-    rank = rank_gf2(H)
-    piv = np.empty((K, rank), dtype=np.intp)
-    b = np.empty((K, rank), dtype=np.uint8)
-    # AT[i, c]: column c of row i's eliminated system in its pivot rows; the
-    # syndrome column n becomes "no flip"
-    AT = np.zeros((K, n + 1, rank), dtype=np.uint8)
-    A = np.empty((m, n + 1), dtype=np.uint8)  # row i's [H[:, order[i]] | s_i]
-    for i in range(K):
-        A[:, :n], A[:, n] = H[:, order[i]], S[i]
-        R, p = row_reduce(A)
-        if len(p) > rank:  # the syndrome column holds a pivot
-            raise ValueError("syndrome is not in the column space of H")
-        piv[i], b[i], AT[i, :n] = p, R[:rank, n], R[:rank, :n].T
-    is_piv = np.zeros((K, n), dtype=bool)
-    is_piv[col, piv] = True
-    nonpiv = np.nonzero(~is_piv)[1].reshape(K, n - rank)
-    w = min(m if cfg.osd_order is None else cfg.osd_order, n - rank)
-    T = nonpiv[:, :w]
-
-    # candidate k of row i flips columns f1[i, k] and f2[i, k]; column n
-    # stands for no flip
-    f1 = f2 = np.full((K, 1), n)
-    if w > 0:
-        # pairs j1 < j2 in row-major order, which is combinations order
-        j1, j2 = np.nonzero(np.arange(w)[:, None] < np.arange(w))
-        f1 = np.hstack([f1, T, T[:, j1]])
-        f2 = np.hstack([f2, np.full((K, w), n), T[:, j2]])
-    C = f1.shape[1]
-    lp_piv = lp[col, piv]
-
-    def pivot_bits(rows, k):
-        return b[rows] ^ AT[rows, f1[rows, k]] ^ AT[rows, f2[rows, k]]
-
-    # approximate costs over (row, candidate) pairs, pair index i * C + k
-    approx = np.empty(K * C)
-    step = max(1, (1 << 18) // max(rank, 1))  # bounds the temporaries
-    for lo in range(0, K * C, step):
-        rows, k = np.divmod(np.arange(lo, min(lo + step, K * C)), C)
-        approx[lo:lo + len(rows)] = (
-            np.einsum("pr,pr->p", pivot_bits(rows, k), lp_piv[rows])
-            + lp[rows, f1[rows, k]] + lp[rows, f2[rows, k]])
-    approx = approx.reshape(K, C)
-
-    # A cost sums at most n + 2 terms of total magnitude <= sum|lp|, so two
-    # summation orders differ by at most g = (n + 2) eps sum|lp|: a candidate
-    # more than 2g above the approximate minimum costs more, exactly, than
-    # the candidate there. tol = 4g leaves a factor 2 for higher-order terms.
-    tol = 4 * (n + 2) * np.finfo(np.float64).eps * np.abs(lp).sum(axis=1)
-    rescore_all = ~(np.isfinite(tol) & np.isfinite(approx).all(axis=1))
-    near = ((approx <= approx.min(axis=1)[:, None]
-             + tol[:, None]) | rescore_all[:, None])
-    pick = near.argmax(axis=1)  # the only near candidate, unless ...
-    for i in np.flatnonzero(near.sum(axis=1) > 1):  # ... exact costs decide
-        cand = np.flatnonzero(near[i])
-        E = _candidate_flips(n, piv[i], f1[i, cand], f2[i, cand],
-                             pivot_bits(i, cand))
-        costs = [float(lp[i, :n][e == 1].sum()) for e in E]
-        # min keeps the first of equal costs
-        pick[i] = cand[min(range(len(cand)), key=costs.__getitem__)]
-
-    rows = col[:, 0]
-    E = _candidate_flips(n, piv, f1[rows, pick], f2[rows, pick],
-                         pivot_bits(rows, pick))
+    lp[:, :n] = np.take_along_axis(llr, order, axis=1)
     estimate = np.zeros((K, n), dtype=np.uint8)
-    estimate[col, order] = E
+    step = max(1, (1 << 22) // max(1, m * (n + 1)))  # systems per block
+    for lo in range(0, K, step):
+        rows = np.arange(lo, min(lo + step, K))
+        R, pivots = row_reduce(np.concatenate(
+            [H.T[order[rows]].transpose(0, 2, 1), S[rows, :, None]], axis=2))
+        if any(p[-1:] == [n] for p in pivots):
+            raise ValueError("syndrome is not in the column space of H")
+        piv, kb = np.array(pivots, np.intp), np.arange(len(rows))[:, None]
+        rank, b = piv.shape[1], R[:, :piv.shape[1], n]
+        w = min(m if cfg.osd_order is None else cfg.osd_order, n - rank)
+        free = np.ones((len(rows), n + 1), dtype=bool)
+        free[kb, piv] = False
+        # the first w secondary columns, then column n standing for no flip
+        T = np.nonzero(free)[1].reshape(len(rows), -1)[:, np.r_[:w, -1]]
+        A = R[kb[..., None], np.arange(rank)[:, None], T[:, None]]
+        A[..., w] = 0  # (rows, rank, w + 1): bits of T in the pivot rows
+        lpT, lp_piv = (np.take_along_axis(lp[rows], c, 1) for c in (T, piv))
+        # candidate k flips T[F1[k]] and T[F2[k]]: (), singles, then pairs
+        # j1 < j2 in row-major order, which is combinations order
+        j1, j2 = np.nonzero(np.arange(w)[:, None] < np.arange(w))
+        F1, F2 = np.r_[w, :w, j1], np.r_[w, np.full(w, w), j2]
+
+        def flips(k, c):  # permuted estimates of candidates c of rows k
+            return _candidate_flips(n, piv[k], T[k, F1[c]], T[k, F2[c]],
+                                    b[k] ^ A[k, :, F1[c]] ^ A[k, :, F2[c]])
+
+        group = max(1, (1 << 18) // (w + 1) ** 2)  # rows per GEMM stack
+        for g in range(0, len(rows), group):
+            k = np.arange(g, min(g + group, len(rows)))
+            sig = 1 - 2.0 * A[k]
+            v = lp_piv[k] * (1 - 2.0 * b[k])
+            G = (sig * v[..., None]).transpose(0, 2, 1) @ sig
+            approx = ((lp_piv[k].sum(axis=1)[:, None] - G[:, F1, F2]) / 2
+                      + lpT[k][:, F1] + lpT[k][:, F2])
+            tol = (2 * (n + rank + 4) * np.finfo(np.float64).eps
+                   * np.abs(lp[rows[k]]).sum(axis=1))
+            rescore_all = ~(np.isfinite(tol) & np.isfinite(approx).all(axis=1))
+            near = ((approx <= approx.min(axis=1)[:, None] + tol[:, None])
+                    | rescore_all[:, None])
+            pick = near.argmax(axis=1)  # the only near candidate, unless ...
+            for i in np.flatnonzero(near.sum(axis=1) > 1):  # ... exact costs
+                cand = np.flatnonzero(near[i])
+                costs = [float(lp[rows[k[i]], :n][e == 1].sum())
+                         for e in flips(k[i], cand)]
+                # min keeps the first of equal costs
+                pick[i] = cand[min(range(len(cand)), key=costs.__getitem__)]
+            estimate[rows[k, None], order[rows[k]]] = flips(k, pick)
     if (((estimate @ H.T) & 1) != S).any():
         raise AssertionError("OSD produced a non-satisfying estimate")
     return DecodeOutcome(estimate=estimate[0] if single else estimate)

@@ -48,13 +48,19 @@ def circulant_from_poly(p: RingPoly) -> np.ndarray:
 def row_reduce(M) -> tuple[np.ndarray, list]:
     """Reduced row-echelon form over GF(2); returns (rref, pivot columns).
 
-    Rows are int masks (bit j is column j) inserted one at a time into a
-    fully reduced basis keyed by pivot bit: a row is cleared at the existing
-    pivots, and what is left, if anything, takes its lowest set bit as a new
-    pivot and is XORed into every basis row holding that bit. The RREF is
-    unique, so the result is that of column-by-column elimination; the
-    nonzero rows come first, in pivot order, followed by zero rows.
+    The RREF is unique: the nonzero rows come first, in pivot order,
+    followed by zero rows. A matrix's rows are int masks (bit j is column j)
+    inserted one at a time into a fully reduced basis keyed by pivot bit: a
+    row is cleared at the existing pivots, and what is left, if anything,
+    takes its lowest set bit as a new pivot and is XORed into every basis
+    row holding that bit.
+
+    A (K, m, n) stack is eliminated in lockstep, one column step of a few
+    numpy operations across the stack at a time, on rows packed into uint64
+    words; it returns the (K, m, n) RREFs and a list of K pivot lists.
     """
+    if np.ndim(M) == 3:
+        return _row_reduce_stack(np.asarray(M, dtype=np.uint8) & 1)
     A = as_gf2(M)
     rows, cols = A.shape
     basis = {}  # pivot bit index -> reduced row
@@ -77,6 +83,35 @@ def row_reduce(M) -> tuple[np.ndarray, list]:
     R = mask_rows([basis[b] for b in pivots] + [0] * (rows - len(pivots)),
                   cols)
     return R, pivots
+
+
+def _row_reduce_stack(A):
+    K, rows, cols = A.shape
+    words = np.zeros((K, rows, -(-cols // 64) * 8), dtype=np.uint8)
+    words[..., :(cols + 7) // 8] = np.packbits(A, axis=2, bitorder="little")
+    P = words.view("<u8").transpose(2, 0, 1).copy()  # (word, system, row)
+    ks, at = np.arange(K), np.zeros(K, dtype=np.intp)  # at: next pivot row
+    is_piv = np.zeros((K, cols), dtype=bool)
+    for c in range(cols if rows else 0):
+        # rows from `at` on are zero left of column c, and so in words < wd
+        wd = c // 64
+        bit = (P[wd] >> np.uint64(c % 64)) & np.uint64(1)
+        hit = (bit != 0) & (np.arange(rows) >= at[:, None])
+        has = hit.any(axis=1)
+        if not has.any():
+            continue
+        top = np.minimum(at, rows - 1)  # no pivot: top swaps with itself
+        src = np.where(has, hit.argmax(axis=1), top)
+        P[wd:, ks, top], P[wd:, ks, src] = P[wd:, ks, src], P[wd:, ks, top]
+        bit[ks, src] = 0  # the pivot row, now at top; top had no bit
+        bit *= has[:, None]
+        P[wd:] ^= P[wd:, ks, top][..., None] & -bit
+        is_piv[:, c], at = has, at + has
+    R = np.unpackbits(P.transpose(1, 2, 0).copy().view(np.uint8), axis=2,
+                      count=cols, bitorder="little")
+    cut = np.cumsum(is_piv.sum(axis=1)).tolist()
+    flat = np.nonzero(is_piv)[1].tolist()
+    return R, [flat[a:b] for a, b in zip([0] + cut, cut)]
 
 
 def rank_gf2(M) -> int:

@@ -229,17 +229,17 @@ def test_bp_matches_dense_reference_row_by_row(problem, max_iter, ms_scale):
             assert np.array_equal(got[i], want[0])
 
 
-def production_width_problem(member):
-    """hz of a family member of [[10,2,3]] and 64 syndromes of p = 0.05
-    errors: at default settings rows converge at several different
-    iterations and some never do."""
+def production_width_problem(member, p=0.05):
+    """hz of a family member of [[10,2,3]] and 64 syndromes of errors of
+    rate p: at default settings and p = 0.05 rows converge at several
+    different iterations and some never do."""
     base = make_code()
     if member == "triple n=90":  # check degree 24, variable degree 16
         code = build_triple_family(TripleBlockPlan(base, 3))[2]
     else:  # identity n=30: check degree 6, variable degree 4
         code = extend_family(identity_plan(base.a, base.b, 3))[2]
     rng = np.random.default_rng(73)
-    E = (rng.random((64, code.n)) < 0.05).astype(np.uint8)
+    E = (rng.random((64, code.n)) < p).astype(np.uint8)
     return code.hz, (E @ code.hz.T) % 2
 
 
@@ -421,6 +421,28 @@ def test_osd_stack_matches_reference_row_by_row(problem, order):
     cfg = DecoderConfig(osd_order=order)
     out = osd_postprocess(H, S, soft, cfg)
     assert out.estimate.shape == S.shape[:1] + H.shape[1:]
+    for i in range(len(S)):
+        assert np.array_equal(out.estimate[i],
+                              osd_reference(H, S[i], soft[i], cfg))
+
+
+# (member, p, seed of the extra row's soft values); each seed was picked so
+# that the row's exact cost ties round apart in the GEMM: with tol near 0
+# the row picks a later candidate than osd_reference
+@pytest.mark.parametrize("member, p, seed", [("identity n=30", 0.15, 69),
+                                             ("triple n=90", 0.05, 15)])
+def test_osd_stack_matches_reference_at_production_widths(member, p, seed):
+    # the rows BP leaves unconverged, as decode_batch passes them on; at
+    # n = 90 a system row has 91 bits, two words. One more row pairs a
+    # reachable syndrome with LLR_CAP-scale soft values and decimals.
+    H, S = production_width_problem(member, p)
+    cfg = DecoderConfig()
+    _, marg, conv, _ = bp_minsum_batch(H, S, p, cfg)
+    capped = np.random.default_rng(seed).choice(
+        SOFT_VALUES["capped"] + SOFT_VALUES["decimals"], H.shape[1])
+    S, soft = np.vstack([S[~conv], S[:1]]), np.vstack([marg[~conv], capped])
+    assert len(S) >= 10
+    out = osd_postprocess(H, S, soft, cfg)
     for i in range(len(S)):
         assert np.array_equal(out.estimate[i],
                               osd_reference(H, S[i], soft[i], cfg))

@@ -173,3 +173,34 @@ def test_row_reduce_equals_column_reference(A):
     assert pivots == want_pivots
     assert R.dtype == want.dtype and R.shape == want.shape
     assert np.array_equal(R, want)
+
+
+@st.composite
+def gf2_stacks(draw):
+    """(K, m, n) stacks up to 6 x 12 x 150 (rows wider than two 64-bit
+    words), each system of its own density, so ranks differ within a stack;
+    empty shapes, all-zero and all-one systems included."""
+    K, m, n = (draw(st.integers(0, 6)), draw(st.integers(0, 12)),
+               draw(st.integers(0, 150)))
+    density = draw(st.lists(st.sampled_from([0.0, 0.05, 0.3, 0.5, 0.9, 1.0]),
+                            min_size=K, max_size=K))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return (rng.random((K, m, n))
+            < np.array(density)[:, None, None]).astype(np.uint8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(A=gf2_stacks())
+@example(A=np.zeros((0, 3, 5), dtype=np.uint8))
+@example(A=np.zeros((3, 0, 5), dtype=np.uint8))
+@example(A=np.zeros((3, 4, 0), dtype=np.uint8))
+@example(A=np.stack([np.zeros((8, 140)), np.ones((8, 140)),
+                     np.eye(8, 140, 67)]).astype(np.uint8))  # ranks 0, 1, 8
+def test_row_reduce_stack_equals_column_reference(A):
+    R, pivots = row_reduce(A)
+    assert R.dtype == np.uint8 and R.shape == A.shape
+    assert len(pivots) == len(A)
+    for k in range(len(A)):
+        want, want_pivots = rref_reference(A[k])
+        assert pivots[k] == want_pivots
+        assert np.array_equal(R[k], want)
